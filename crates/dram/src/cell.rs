@@ -11,9 +11,23 @@
 /// Logical content of one DRAM row, stored as 64-bit words.
 ///
 /// Bit `i` of the row is bit `i % 64` of word `i / 64`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct RowContent {
     words: Vec<u64>,
+}
+
+impl Clone for RowContent {
+    fn clone(&self) -> Self {
+        RowContent {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Copies into `self`'s existing word buffer, so re-snapshotting a
+    /// row of the same width allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl RowContent {

@@ -56,10 +56,10 @@ impl Fig3 {
 
 /// Runs the 100-pattern sweep at the paper's 328 ms-equivalent interval.
 ///
-/// The per-pattern fill → idle → read-back runs fan out across the
-/// [`memutil::par`] pool (via [`ChipTester::run_suite`]); cell ids are
-/// assigned from the in-order reports, so the scatter is bit-identical to
-/// the sequential sweep at any worker count.
+/// The per-pattern fill → idle → read-back runs go through
+/// [`ChipTester::run_suite`], one reused tester per [`memutil::par`]
+/// worker; cell ids are assigned from the in-order reports, so the scatter
+/// is bit-identical to the sequential sweep at any worker count.
 #[must_use]
 pub fn compute(opts: &RunOptions) -> Fig3 {
     let module = DramModule::new(
@@ -154,5 +154,11 @@ mod tests {
         let a = compute(&RunOptions::quick());
         let b = compute(&RunOptions::quick());
         assert_eq!(a.dots, b.dots);
+        // And at any worker count: the sweep's per-worker testers must
+        // reproduce the sequential scatter exactly.
+        for jobs in [1usize, 2, 8] {
+            let r = compute(&RunOptions::quick().with_jobs(jobs));
+            assert_eq!(a.dots, r.dots, "diverged at jobs={jobs}");
+        }
     }
 }

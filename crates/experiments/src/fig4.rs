@@ -57,10 +57,10 @@ impl Fig4 {
 
 /// Runs the Fig. 4 sweep at the 328 ms-equivalent test interval.
 ///
-/// Benchmarks fan out across the [`memutil::par`] pool, each on its own
-/// tester clone (sound because `fill_with` overwrites every row before each
-/// snapshot); results are reduced in `SpecBenchmark::ALL` order, so the
-/// figure is bit-identical to the sequential sweep at any worker count.
+/// The benchmarks are one [`ChipTester::sweep`] (sound because `fill_with`
+/// overwrites every row before each snapshot); results come back in
+/// `SpecBenchmark::ALL` order, so the figure is bit-identical to the
+/// sequential sweep at any worker count.
 #[must_use]
 pub fn compute(opts: &RunOptions) -> Fig4 {
     let geometry = crate::output::chip_test_geometry(opts);
@@ -71,12 +71,11 @@ pub fn compute(opts: &RunOptions) -> Fig4 {
 
     // Hand the same model to the tester so the worst-case sweep's cell
     // cache is reused by every benchmark's idle sweep.
-    let tester = ChipTester::with_model(module, model);
+    let mut tester = ChipTester::with_model(module, model).with_jobs(opts.jobs);
     let words = geometry.words_per_row();
-    let benchmarks = memutil::par::ordered_map_with(opts.jobs, SpecBenchmark::ALL.len(), |bi| {
+    let benchmarks = tester.sweep(SpecBenchmark::ALL.len(), |tester, bi| {
         let bench = SpecBenchmark::ALL[bi];
         let profile = bench.profile();
-        let mut tester = tester.clone().with_jobs(1);
         let mut fracs = Vec::new();
         for snapshot in 0..opts.snapshots {
             tester.fill_with(|row| {

@@ -19,8 +19,9 @@
 //! path, and each row slot is a lock-free [`OnceLock`].
 //!
 //! Cloning a cache (or a model holding one) shares the underlying storage,
-//! which is what lets `ChipTester::run_suite` clones, the Fig. 4 oracle and
-//! tester, and repeated benchmark iterations all pay the RNG sampling once.
+//! which is what lets the per-worker testers of a `ChipTester::sweep`, the
+//! Fig. 4 oracle and tester, and repeated benchmark iterations all pay the
+//! RNG sampling once.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};

@@ -11,6 +11,8 @@
 //! the internal scrambling/remapping/polarity stay hidden inside the module
 //! and the failure physics.
 
+use std::sync::{Mutex, PoisonError};
+
 use dram::address::RowAddr;
 use dram::cell::RowContent;
 use dram::module::DramModule;
@@ -136,7 +138,7 @@ impl ChipTester {
 
     fn snapshot(&mut self) {
         for (id, slot) in self.golden.iter_mut().enumerate() {
-            *slot = self.module.read_row_id(id as u64).clone();
+            slot.clone_from(self.module.read_row_id(id as u64));
         }
     }
 
@@ -197,34 +199,62 @@ impl ChipTester {
     }
 
     /// Runs a whole pattern suite: for each pattern, fill → idle →
-    /// read back, returning the per-pattern report.
+    /// read back, returning the per-pattern report in pattern order.
     ///
-    /// Patterns fan out across the pool, each on its own tester clone —
-    /// sound because `fill` overwrites every row, so each pattern's report
-    /// depends only on the pattern and the chip identity, never on the
-    /// previous pattern's residue. The tester is left in the last
-    /// pattern's post-test state, exactly as the sequential loop leaves it.
+    /// One [`ChipTester::sweep`]: bit-identical at any worker count, and
+    /// the tester is left in the last pattern's post-test state, exactly as
+    /// the sequential loop leaves it.
     pub fn run_suite(
         &mut self,
         patterns: &[TestPattern],
         interval_ms: f64,
     ) -> Vec<(TestPattern, ReadBackReport)> {
-        let mut runs = memutil::par::ordered_map_with(self.jobs, patterns.len(), |i| {
-            let mut tester = self.clone().with_jobs(1);
+        self.sweep(patterns.len(), |tester, i| {
             tester.fill_pattern(&patterns[i]);
             let _ = tester.idle_ms(interval_ms);
-            let report = tester.read_back();
-            (tester, (patterns[i], report))
+            (patterns[i], tester.read_back())
+        })
+    }
+
+    /// Runs `items` chip tests back to back, `run(tester, i)` for each,
+    /// and returns the results in item order.
+    ///
+    /// Every test must begin with a fill ([`ChipTester::fill_pattern`] or
+    /// [`ChipTester::fill_with`]): a fill overwrites every row and
+    /// invalidates every charge image, so a test's result depends only on
+    /// the item and the chip, never on the previous test's residue. That
+    /// lets one tester run many tests, like the real instrument testing one
+    /// chip pattern after pattern. The items split into one contiguous
+    /// block per worker and each block runs on a single tester: `self` for
+    /// the last block, one clone for each other block. At an effective
+    /// worker count of 1 (`jobs = 1`, one item, or a call from inside a
+    /// [`memutil::par`] worker) the whole sweep runs on `self` and nothing
+    /// is cloned. Either way the results are bit-identical at any worker
+    /// count and `self` is left in the last test's post-test state.
+    pub fn sweep<T, F>(&mut self, items: usize, run: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&mut ChipTester, usize) -> T + Sync,
+    {
+        let jobs = if self.jobs == 0 {
+            memutil::par::jobs()
+        } else {
+            self.jobs
+        };
+        let workers = jobs.min(items);
+        if workers <= 1 || memutil::par::in_worker() {
+            return (0..items).map(|i| run(self, i)).collect();
+        }
+        let mut clones: Vec<ChipTester> = (1..workers).map(|_| self.clone()).collect();
+        let testers: Vec<Mutex<&mut ChipTester>> =
+            clones.iter_mut().chain([self]).map(Mutex::new).collect();
+        let blocks = memutil::par::ordered_map_with(workers, workers, |w| {
+            let mut tester = testers[w].lock().unwrap_or_else(PoisonError::into_inner);
+            (w * items / workers..(w + 1) * items / workers)
+                .map(|i| run(&mut tester, i))
+                .collect::<Vec<T>>()
         });
-        let mut out = Vec::with_capacity(runs.len());
-        if let Some((last, _)) = runs.last_mut() {
-            std::mem::swap(&mut self.module, &mut last.module);
-            std::mem::swap(&mut self.golden, &mut last.golden);
-        }
-        for (_, result) in runs {
-            out.push(result);
-        }
-        out
+        blocks.into_iter().flatten().collect()
     }
 }
 
@@ -309,6 +339,12 @@ mod tests {
         assert_eq!(r.failing_row_count() == 0, r.is_clean());
     }
 
+    fn rows(module: &DramModule) -> Vec<RowContent> {
+        (0..module.geometry().total_rows())
+            .map(|id| module.read_row_id(id).clone())
+            .collect()
+    }
+
     #[test]
     fn reports_are_jobs_invariant() {
         // fill → idle → read back must yield bit-identical reports at any
@@ -317,14 +353,32 @@ mod tests {
         let run = |jobs: usize| {
             let mut t = tester(8).with_jobs(jobs);
             let suite = t.run_suite(&patterns, 60_000.0);
+            let after_suite = rows(t.module());
             t.fill_pattern(&TestPattern::Random(9));
             let failures = t.idle_ms(60_000.0);
-            (suite, failures, t.read_back())
+            (suite, after_suite, failures, t.read_back())
         };
         let sequential = run(1);
         for jobs in [2usize, 8] {
             assert_eq!(sequential, run(jobs), "diverged at jobs={jobs}");
         }
+        // The suite reuses testers across patterns, so it must equal a
+        // plain loop on one tester and leave the module where that loop
+        // leaves it.
+        let mut single = tester(8);
+        let looped: Vec<_> = patterns
+            .iter()
+            .map(|&pattern| {
+                single.fill_pattern(&pattern);
+                let _ = single.idle_ms(60_000.0);
+                (pattern, single.read_back())
+            })
+            .collect();
+        assert_eq!(sequential.0, looped, "suite diverged from the plain loop");
+        assert!(
+            sequential.1 == rows(single.module()),
+            "suite left a different module than the plain loop"
+        );
     }
 
     #[test]

@@ -223,6 +223,7 @@ mod tests {
 
     #[test]
     fn free_helpers_are_noops_when_disabled() {
+        let _serial = registry::install_lock();
         let r = Arc::new(Registry::new());
         let _scope = install(Arc::clone(&r));
         assert!(!enabled());
@@ -237,6 +238,7 @@ mod tests {
 
     #[test]
     fn free_helpers_record_on_the_installed_registry() {
+        let _serial = registry::install_lock();
         let r = Arc::new(Registry::new());
         r.set_enabled(true);
         let _scope = install(Arc::clone(&r));
@@ -261,6 +263,7 @@ mod tests {
 
     #[test]
     fn spans_accumulate_wall_clock_time() {
+        let _serial = registry::install_lock();
         let r = Arc::new(Registry::new());
         r.set_enabled(true);
         let _scope = install(Arc::clone(&r));

@@ -414,6 +414,15 @@ pub fn install(registry: Arc<Registry>) -> ScopeGuard {
     }
 }
 
+/// Serializes the unit tests in this crate that [`install`] a registry:
+/// `CURRENT` is process-wide and the test harness runs tests on parallel
+/// threads, so every installing test holds this lock for its whole body.
+#[cfg(test)]
+pub(crate) fn install_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Guard returned by [`install`]; restores the previously current
 /// registry when dropped.
 pub struct ScopeGuard {
@@ -542,8 +551,7 @@ mod tests {
 
     #[test]
     fn install_swaps_and_restores_the_current_registry() {
-        // Serialized against other tests touching CURRENT by the fact
-        // that this is the only test in this binary that installs.
+        let _serial = install_lock();
         let outer = Arc::new(enabled_registry());
         let inner = Arc::new(enabled_registry());
         {

@@ -17,8 +17,10 @@
 //! `ci` chains the whole offline gate: rustfmt check (when rustfmt is
 //! installed), `memlint`, a release build, the parallel-engine determinism
 //! gate (`memcon-experiments --quick all` at `--jobs 1` vs `--jobs 4`,
-//! byte-compared), the telemetry golden-file check, a quick fault-injection
-//! chaos soak ([`chaos`]), and the quiet test suite.
+//! byte-compared), a full-fidelity Fig. 3 run checked against
+//! EXPERIMENTS.md and a 1 GB peak-RSS budget, the telemetry golden-file
+//! check, a quick fault-injection chaos soak ([`chaos`]), and the whole
+//! workspace's test suite in release.
 //!
 //! `bench baseline` runs the `bench_suite::micro` suite in-process and
 //! snapshots the medians to `BENCH_baseline.json` at the workspace root.
@@ -92,11 +94,13 @@ pub fn lint_cmd(update_ratchet: bool, json: Option<&str>) -> i32 {
 /// Runs the offline CI pipeline: fmt-check (if rustfmt is installed),
 /// `memlint`, `cargo build --workspace --release` (the determinism gate
 /// below byte-compares the freshly built experiments binary), the
-/// determinism gate, `obs --check`, a quick 3-plan chaos soak
+/// determinism gate, the full-fidelity Fig. 3 leg (1 GB peak-RSS budget),
+/// `obs --check`, a quick 3-plan chaos soak
 /// ([`chaos::chaos_cmd`]), the `chaos health` smoke (armed SLO monitor,
 /// alert latency, flight-record dump), the quick crash-recovery soak
 /// ([`crash::crash_cmd`]), the fleet smoke gate
-/// ([`fleet::fleet_cmd`] with `--smoke`), `cargo test -q`, and — when
+/// ([`fleet::fleet_cmd`] with `--smoke`), `cargo test --workspace
+/// --release -q`, and — when
 /// `bench` is set —
 /// the `bench compare` regression gate plus the `obs` and `chaos`
 /// overhead gates (run through `cargo run --release` so the fresh medians
@@ -133,6 +137,11 @@ pub fn ci_cmd(bench: bool) -> i32 {
         return code;
     }
 
+    println!("ci: full-fidelity fig3 (memcon-experiments --jobs 2 fig3, EXPERIMENTS.md numbers, 1 GB peak RSS)");
+    if let Some(code) = fig3_full_gate(&root) {
+        return code;
+    }
+
     println!("ci: obs --check (telemetry golden file)");
     let obs_code = obs::obs_cmd(&["--check".to_string()]);
     if obs_code != 0 {
@@ -163,8 +172,8 @@ pub fn ci_cmd(bench: bool) -> i32 {
         return fleet_code;
     }
 
-    println!("ci: cargo test -q");
-    if let Some(code) = run_step(&root, &["test", "-q"]) {
+    println!("ci: cargo test --workspace --release -q");
+    if let Some(code) = run_step(&root, &["test", "--workspace", "--release", "-q"]) {
         return code;
     }
 
@@ -283,6 +292,135 @@ fn telemetry_sections_match(a: &Path, b: &Path) -> Option<i32> {
             Some(1)
         }
     }
+}
+
+/// Peak-RSS budget of the full-fidelity Fig. 3 leg, in kB (1 GB). The
+/// chip-test sweep holds one tester per worker, so `--jobs 2` needs two
+/// module images plus their golden copies.
+const FIG3_RSS_BUDGET_KB: u64 = 1 << 20;
+
+/// Runs `memcon-experiments --jobs 2 fig3` at full fidelity, sampling the
+/// child's `VmHWM` from `/proc/<pid>/status` while it runs, and checks
+/// its "distinct failing cells" and "mean patterns per failing cell" lines
+/// against the Fig. 3 row of EXPERIMENTS.md. `None` on success,
+/// `Some(exit_code)` on a failed run, a mismatch or a blown budget.
+fn fig3_full_gate(root: &Path) -> Option<i32> {
+    let fail = |msg: String| {
+        eprintln!("ci: fig3 gate FAILED: {msg}");
+        Some(1)
+    };
+    let expected = match std::fs::read_to_string(root.join("EXPERIMENTS.md"))
+        .map_err(|e| e.to_string())
+        .and_then(|doc| fig3_documented(&doc))
+    {
+        Ok(expected) => expected,
+        Err(e) => return fail(format!("EXPERIMENTS.md: {e}")),
+    };
+    let bin = root.join(format!("target/release/memcon-experiments{}", EXE_SUFFIX));
+    let mut child = match Command::new(&bin)
+        .args(["--jobs", "2", "fig3"])
+        .current_dir(root)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+    {
+        Ok(child) => child,
+        Err(e) => return fail(format!("could not spawn {}: {e}", bin.display())),
+    };
+    let status_path = PathBuf::from(format!("/proc/{}/status", child.id()));
+    let mut peak_kb: Option<u64> = None;
+    let status = loop {
+        // VmHWM is the kernel's own high-water mark, so polling only has
+        // to catch the process alive, not at its peak.
+        if let Some(kb) = std::fs::read_to_string(&status_path)
+            .ok()
+            .as_deref()
+            .and_then(vm_hwm_kb)
+        {
+            peak_kb = Some(kb);
+        }
+        match child.try_wait() {
+            Ok(Some(status)) => break status,
+            Ok(None) => std::thread::sleep(std::time::Duration::from_millis(10)),
+            Err(e) => return fail(format!("waiting for the child: {e}")),
+        }
+    };
+    let mut stdout = String::new();
+    if let Some(mut pipe) = child.stdout.take() {
+        use std::io::Read;
+        if let Err(e) = pipe.read_to_string(&mut stdout) {
+            return fail(format!("reading the child's output: {e}"));
+        }
+    }
+    if !status.success() {
+        return fail(format!("`--jobs 2 fig3` exited with {status}"));
+    }
+    let measured = (
+        table_value(&stdout, "distinct failing cells"),
+        table_value(&stdout, "mean patterns per failing cell"),
+    );
+    if measured != (Some(expected.0.clone()), Some(expected.1.clone())) {
+        return fail(format!(
+            "measured (cells, mean) = {measured:?}, EXPERIMENTS.md documents {expected:?}"
+        ));
+    }
+    let Some(peak_kb) = peak_kb else {
+        return fail(format!("no VmHWM sample from {}", status_path.display()));
+    };
+    if peak_kb > FIG3_RSS_BUDGET_KB {
+        return fail(format!(
+            "peak RSS {peak_kb} kB exceeds the {FIG3_RSS_BUDGET_KB} kB budget"
+        ));
+    }
+    println!(
+        "ci: fig3 matches EXPERIMENTS.md ({} cells, mean {}); peak RSS {} MB",
+        expected.0,
+        expected.1,
+        peak_kb / 1024
+    );
+    None
+}
+
+/// The `(distinct failing cells, mean patterns per cell)` pair documented in
+/// EXPERIMENTS.md's Fig. 3 row ("… 2300 failing cells, mean 33.0/100 …").
+fn fig3_documented(doc: &str) -> Result<(String, String), String> {
+    let row = doc
+        .lines()
+        .find(|l| l.starts_with("| Fig. 3 |"))
+        .ok_or("no `| Fig. 3 |` row")?;
+    let words: Vec<&str> = row.split_whitespace().collect();
+    let cells = words
+        .windows(3)
+        .find(|w| w[1] == "failing" && w[2].starts_with("cells"))
+        .map(|w| w[0].to_string())
+        .ok_or("Fig. 3 row has no `<N> failing cells`")?;
+    let mean = words
+        .windows(2)
+        .find(|w| w[0] == "mean")
+        .and_then(|w| w[1].split('/').next())
+        .map(str::to_string)
+        .ok_or("Fig. 3 row has no `mean <X>/<patterns>`")?;
+    Ok((cells, mean))
+}
+
+/// The value column of the rendered-table line whose label is `label`
+/// (the table pads its columns apart by at least two spaces).
+fn table_value(output: &str, label: &str) -> Option<String> {
+    let value = output
+        .lines()
+        .find_map(|l| l.strip_prefix(label)?.strip_prefix("  "))?;
+    Some(value.trim().to_string())
+}
+
+/// The `VmHWM` (peak resident set) of a `/proc/<pid>/status` text, in kB.
+fn vm_hwm_kb(status: &str) -> Option<u64> {
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()
 }
 
 const EXE_SUFFIX: &str = if cfg!(windows) { ".exe" } else { "" };
@@ -611,5 +749,39 @@ fn run_step(root: &Path, args: &[&str]) -> Option<i32> {
             eprintln!("ci: could not spawn `cargo {}`: {e}", args.join(" "));
             Some(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig3_gate_parses_the_documented_row_and_the_rendered_table() {
+        let doc = "| Exp. | Paper | Measured |\n\
+                   | Fig. 3 | strict subset | 2300 failing cells, mean 33.0/100 patterns each |\n";
+        assert_eq!(
+            fig3_documented(doc),
+            Ok(("2300".to_string(), "33.0".to_string()))
+        );
+        assert!(fig3_documented("| Fig. 4 | … |").is_err());
+        let table = "distinct failing cells             2300\n\
+                     mean patterns per failing cell     33.0\n";
+        assert_eq!(
+            table_value(table, "distinct failing cells").as_deref(),
+            Some("2300")
+        );
+        assert_eq!(
+            table_value(table, "mean patterns per failing cell").as_deref(),
+            Some("33.0")
+        );
+        assert_eq!(table_value(table, "distinct failing"), None);
+    }
+
+    #[test]
+    fn vm_hwm_is_read_in_kilobytes() {
+        let status = "Name:\tmemcon\nVmPeak:\t  900 kB\nVmHWM:\t  788512 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(vm_hwm_kb(status), Some(788_512));
+        assert_eq!(vm_hwm_kb("Name:\tzombie\nState:\tZ\n"), None);
     }
 }

@@ -57,8 +57,12 @@ fn usage() {
          \x20 ci [--bench]              fmt-check (if rustfmt present), memlint,\n\
          \x20                           cargo build --release, the --jobs 1-vs-4\n\
          \x20                           output + telemetry determinism gate,\n\
-         \x20                           obs --check, a quick 3-plan chaos soak,\n\
-         \x20                           cargo test -q; --bench additionally runs\n\
+         \x20                           full-fidelity fig3 (EXPERIMENTS.md numbers,\n\
+         \x20                           1 GB peak RSS), obs --check, a quick\n\
+         \x20                           3-plan chaos soak, the chaos health,\n\
+         \x20                           crash and fleet gates, and\n\
+         \x20                           cargo test --workspace --release -q;\n\
+         \x20                           --bench additionally runs\n\
          \x20                           `bench compare`, `obs overhead`, and\n\
          \x20                           `chaos overhead`\n\
          \x20 chaos [--plans N] [--quick] [health [--serve[=ADDR]]] [overhead]\n\
