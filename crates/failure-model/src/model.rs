@@ -24,8 +24,8 @@
 //! # Evaluation kernel
 //!
 //! Evaluation runs through a two-level fast path that is bit-identical to
-//! the definitional one ([`CouplingFailureModel::evaluate_row_reference`],
-//! kept for the equivalence tests and the `slow-reference` feature):
+//! the definitional one (`CouplingFailureModel::evaluate_row_reference`,
+//! kept under `cfg(test)` for the equivalence tests):
 //!
 //! * the [`crate::cache::VulnerableCellCache`] materializes each row's
 //!   cells once per chip — with remap neighbours and system attribution
@@ -347,7 +347,7 @@ impl CouplingFailureModel {
     }
 
     /// The cached word-parallel evaluation kernel. Bit-identical to
-    /// [`CouplingFailureModel::evaluate_row_reference`]: cells are walked in
+    /// `CouplingFailureModel::evaluate_row_reference`: cells are walked in
     /// generation order (via the cache's `by_gen` permutation) and aggressor
     /// weights are summed left, right, up, down, so both the failure list
     /// and every f64 accumulation match the definitional path exactly.
@@ -456,9 +456,8 @@ impl CouplingFailureModel {
     }
 
     /// The definitional (uncached, probe-at-a-time) row evaluation the
-    /// kernel is tested against. Kept under `cfg(test)` and the
-    /// `slow-reference` feature so external users can cross-check too.
-    #[cfg(any(test, feature = "slow-reference"))]
+    /// kernel is tested against.
+    #[cfg(test)]
     #[must_use]
     pub fn evaluate_row_reference(
         &self,

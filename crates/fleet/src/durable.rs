@@ -4,8 +4,8 @@
 //! keeps two kinds of state on disk:
 //!
 //! * **per-shard stores** (`shard-<node>/`) — each shard engine journals
-//!   its MEMCON transitions and snapshots itself at every epoch barrier
-//!   (snapshot cadence = `epoch_quanta`), entirely through
+//!   per-quantum progress markers and snapshots itself at every epoch
+//!   barrier (snapshot cadence = `epoch_quanta`), entirely through
 //!   [`memcon::engine::MemconEngine::attach_store`];
 //! * **one fleet meta store** (`fleet/`) — at every epoch barrier the
 //!   scheduler appends an [`store::Record::EpochSample`] and publishes a
@@ -219,7 +219,7 @@ pub struct FleetRecovery {
     pub epochs_replayed: u64,
     /// Shard engines recovered from their stores.
     pub shards_recovered: u64,
-    /// WAL records replayed across all stores (meta + shards).
+    /// Intact WAL tail records scanned across all stores (meta + shards).
     pub replayed_records: u64,
     /// Bytes truncated from torn WAL tails across all stores.
     pub truncated_bytes: u64,

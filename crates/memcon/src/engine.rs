@@ -381,11 +381,12 @@ impl MemconEngine {
         self.sample_every = every.filter(|n| *n > 0);
     }
 
-    /// Attaches a durable [`Store`]: subsequent runs journal every MEMCON
-    /// state transition to its WAL and publish an engine snapshot every
-    /// `snapshot_every` quanta (plus one at [`MemconEngine::begin_run`] and
-    /// one at [`MemconEngine::finish_run`]). A crashed run recovers via
-    /// [`MemconEngine::recover`].
+    /// Attaches a durable [`Store`]: subsequent runs publish an engine
+    /// snapshot every `snapshot_every` quanta (plus one at
+    /// [`MemconEngine::begin_run`] and one at [`MemconEngine::finish_run`])
+    /// and journal run begin/finish plus one [`Record::Progress`] marker
+    /// per quantum to its WAL. A crashed run recovers via
+    /// [`MemconEngine::recover`], which resumes from the newest snapshot.
     ///
     /// Store failures never fail the simulation: the first one is latched
     /// into [`MemconEngine::store_error`] and the durability plane goes
@@ -720,17 +721,18 @@ impl MemconEngine {
     }
 
     /// Recovers an engine from a durable store directory: opens the store
-    /// (repairing any torn WAL tail), loads the newest valid snapshot, and
-    /// rebuilds the engine exactly as it stood when that snapshot was
-    /// published — including an in-progress run, ready to resume.
+    /// (scanning the WAL tail and truncating any torn or corrupt frames),
+    /// loads the newest valid snapshot, and rebuilds the engine exactly as
+    /// it stood when that snapshot was published — including an
+    /// in-progress run, ready to resume.
     ///
-    /// Recovery is deterministic snapshot-resume: traces are not
-    /// persisted, so the caller must resume the recovered run with the
-    /// **same trace** (and the engine carries its fault plan and decision
-    /// cursors in the snapshot, so the replayed fault stream continues
-    /// bit-identically). A recovered engine journals a
-    /// [`Record::RecoveryEvent`] and publishes a fresh snapshot before
-    /// returning; time-series sampling stays disarmed.
+    /// Recovery is deterministic snapshot-resume: no WAL record is
+    /// applied, and traces are not persisted, so the caller must resume
+    /// the recovered run with the **same trace** (and the engine carries
+    /// its fault plan and decision cursors in the snapshot, so the
+    /// replayed fault stream continues bit-identically). A recovered
+    /// engine journals a [`Record::RecoveryEvent`] and publishes a fresh
+    /// snapshot before returning; time-series sampling stays disarmed.
     ///
     /// `scan_plan` arms fault injection for the recovery scan itself
     /// (`store.short_read`).
@@ -964,12 +966,15 @@ impl MemconEngine {
             if t_quantum == Some(now) {
                 self.handle_quantum(now, &mut run.mgr, run.mwi_ns);
                 run.next_quantum += run.quantum_ns;
-                if self.store.is_some()
-                    && self.snapshot_every > 0
-                    && self.quantum_index % self.snapshot_every == 0
-                {
-                    let payload = self.encode_state(Some(&run));
-                    self.publish_payload(&payload);
+                if self.store.is_some() {
+                    self.journal(&Record::Progress {
+                        quantum: self.quantum_index,
+                        now_ns: now,
+                    });
+                    if self.snapshot_every > 0 && self.quantum_index % self.snapshot_every == 0 {
+                        let payload = self.encode_state(Some(&run));
+                        self.publish_payload(&payload);
+                    }
                 }
                 continue;
             }
@@ -1124,18 +1129,7 @@ impl MemconEngine {
         if let Some(due) = &mut self.retry_at[page as usize] {
             *due = (*due).max(self.quantum_index + 2);
         }
-        if self.store.is_some() {
-            let inserted_before = self.pril.stats.inserted;
-            self.pril.on_write(page);
-            if self.pril.stats.inserted > inserted_before {
-                self.journal(&Record::PrilEntered {
-                    page,
-                    quantum: self.quantum_index,
-                });
-            }
-        } else {
-            self.pril.on_write(page);
-        }
+        self.pril.on_write(page);
     }
 
     /// Records an aborted/ambiguous test attempt on `page` and arms the
@@ -1157,9 +1151,6 @@ impl MemconEngine {
         *slot = slot.saturating_add(1);
         let attempts = *slot;
         if uncorrectable || attempts >= policy.max_attempts {
-            if self.store.is_some() && !mgr.is_pinned(page) {
-                self.journal(&Record::PinHigh { page, at_ns: now });
-            }
             mgr.pin_high(page, now);
         }
         let backoff =
@@ -1182,12 +1173,9 @@ impl MemconEngine {
     /// A definitive (non-ambiguous) verdict resets the attempt counter and
     /// releases any fail-safe pin. Pin release must precede a LO-REF
     /// transition — the refresh manager rejects LO-REF for pinned pages.
-    fn clear_attempts(&mut self, page: PageId, mgr: &mut RefreshManager, now: u64) {
+    fn clear_attempts(&mut self, page: PageId, mgr: &mut RefreshManager) {
         self.attempts[page as usize] = 0;
         self.retry_at[page as usize] = None;
-        if self.store.is_some() && mgr.is_pinned(page) {
-            self.journal(&Record::PinReleased { page, at_ns: now });
-        }
         mgr.release_pin(page);
     }
 
@@ -1315,17 +1303,6 @@ impl MemconEngine {
                 self.retry_at[page as usize] = None;
                 self.recovery.retries += 1;
                 mgr.transition(page, PageState::Testing, now);
-                if self.store.is_some() {
-                    self.journal(&Record::TestStarted {
-                        page,
-                        quantum: self.quantum_index,
-                    });
-                    self.journal(&Record::BinChanged {
-                        page,
-                        state: 1,
-                        at_ns: now,
-                    });
-                }
                 if telemetry::enabled() {
                     telemetry::annotate("memcon.test_retry", page);
                 }
@@ -1338,14 +1315,6 @@ impl MemconEngine {
         // Accumulated (not observed) so the run-end flush is a pure
         // function of final engine state — see `flush_telemetry`.
         self.candidate_hist[candidate_bucket(candidates.len() as u64)] += 1;
-        if self.store.is_some() {
-            for &page in &candidates {
-                self.journal(&Record::PrilEvicted {
-                    page,
-                    quantum: self.quantum_index,
-                });
-            }
-        }
         for page in candidates {
             // A nominated page can be mid-retry-backoff or already under a
             // retry test started above; the retry machinery owns it.
@@ -1355,27 +1324,10 @@ impl MemconEngine {
             let generation = self.generation[page as usize];
             if self.tests.try_start(page, generation, now) {
                 mgr.transition(page, PageState::Testing, now);
-                if self.store.is_some() {
-                    self.journal(&Record::TestStarted {
-                        page,
-                        quantum: self.quantum_index,
-                    });
-                    self.journal(&Record::BinChanged {
-                        page,
-                        state: 1,
-                        at_ns: now,
-                    });
-                }
                 if telemetry::enabled() {
                     telemetry::annotate("memcon.test_start", page);
                 }
             }
-        }
-        if self.store.is_some() {
-            self.journal(&Record::Progress {
-                quantum: self.quantum_index,
-                now_ns: now,
-            });
         }
         if let Some(every) = self.sample_every {
             if self.quantum_index % every == 0 && telemetry::enabled() {
@@ -1419,43 +1371,17 @@ impl MemconEngine {
         for outcome in &outcomes {
             let end = outcome.end_ns.min(duration);
             let page = outcome.page;
-            if self.store.is_some() {
-                let verdict = match outcome.verdict {
-                    Verdict::Pass => 0u8,
-                    Verdict::Fail => 1,
-                    Verdict::Ambiguous => 2,
-                };
-                self.journal(&Record::TestCompleted {
-                    page,
-                    verdict,
-                    end_ns: end,
-                });
-            }
             match outcome.verdict {
                 Verdict::Fail => {
-                    self.clear_attempts(page, mgr, end);
+                    self.clear_attempts(page, mgr);
                     mgr.transition(page, PageState::HiRef, end);
-                    if self.store.is_some() {
-                        self.journal(&Record::BinChanged {
-                            page,
-                            state: 0,
-                            at_ns: end,
-                        });
-                    }
                     // A detected failure is a *correct* engagement of the
                     // mechanism: the test did its protective job.
                     self.tests_correct += 1;
                 }
                 Verdict::Pass => {
-                    self.clear_attempts(page, mgr, end);
+                    self.clear_attempts(page, mgr);
                     mgr.transition(page, PageState::LoRef, end);
-                    if self.store.is_some() {
-                        self.journal(&Record::BinChanged {
-                            page,
-                            state: 2,
-                            at_ns: end,
-                        });
-                    }
                     self.clean_gen[page as usize] = Some(outcome.generation);
                     self.lo_anchor[page as usize] = Some(outcome.start_ns);
                 }
@@ -1465,13 +1391,6 @@ impl MemconEngine {
                     // response is HI-REF plus a backed-off retry.
                     self.tests_mispredicted += 1;
                     mgr.transition(page, PageState::HiRef, end);
-                    if self.store.is_some() {
-                        self.journal(&Record::BinChanged {
-                            page,
-                            state: 0,
-                            at_ns: end,
-                        });
-                    }
                     self.note_failed_attempt(
                         page,
                         end,
@@ -1887,6 +1806,69 @@ mod tests {
     }
 
     #[test]
+    fn wal_tail_holds_only_run_progress_and_recovery_markers() {
+        // Tests, retries and pins all happen before the crash, yet the
+        // surviving WAL holds one Progress marker per quantum past the
+        // anchor snapshot and nothing else: the engine journals no
+        // per-transition records.
+        let trace = WorkloadProfile::netflix().scaled(0.02).generate(7);
+        let plan = FaultPlan::new(0xDEAD_BEEF)
+            .with_site(Site::TestPreempt, SiteSpec::rate(0.1))
+            .with_site(Site::TornRead, SiteSpec::rate(0.3))
+            .with_site(Site::EccUncorrectable, SiteSpec::rate(0.1));
+        let dir = scratch_dir("engine-wal-kinds");
+        let quanta = {
+            let mut e = MemconEngine::new(cfg(), trace.n_pages());
+            e.set_fault_plan(Some(Arc::new(plan)));
+            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
+            e.attach_store(store, 10_000).unwrap();
+            e.begin_run(&trace);
+            e.advance_until(&trace, trace.duration_ns() * 3 / 5);
+            assert!(e.store_error().is_none());
+            assert!(e.internals().tests.started > 0, "tests ran");
+            let live = e.live_stats();
+            assert!(live.retries > 0, "retries ran");
+            assert!(live.degraded_rows > 0, "pages were pinned");
+            e.quantum_index
+        };
+        let mut wals: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "wal"))
+            .collect();
+        wals.sort();
+        let mut records = Vec::new();
+        for wal in &wals {
+            let scan = store::scan_bytes(&std::fs::read(wal).unwrap());
+            assert!(!scan.torn, "{} scans clean", wal.display());
+            records.extend(scan.records);
+        }
+        for rec in &records {
+            assert!(
+                matches!(
+                    rec,
+                    Record::RunBegin { .. }
+                        | Record::Progress { .. }
+                        | Record::EpochSample { .. }
+                        | Record::RunFinished { .. }
+                        | Record::RecoveryEvent { .. }
+                ),
+                "unexpected record {rec:?}"
+            );
+        }
+        let progress: Vec<u64> = records
+            .iter()
+            .filter_map(|rec| match rec {
+                Record::Progress { quantum, .. } => Some(*quantum),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(progress, (1..=quanta).collect::<Vec<_>>());
+        assert_eq!(records.len(), progress.len(), "the tail is all Progress");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn recovery_truncates_a_torn_wal_tail_and_still_resumes() {
         // Cut the newest WAL segment mid-frame (a crash mid-write):
         // recovery must report the truncation, never load the partial
@@ -2026,8 +2008,9 @@ mod tests {
             "scan stopped at the corrupt record"
         );
         // The corrupt injection fired at append index 6; the anchor
-        // snapshot pruned append 0 (RunBegin), so five clean records
-        // precede the corrupt one in the surviving tail.
+        // snapshot pruned append 0 (RunBegin), so five clean records (the
+        // Progress markers of quanta 1-5) precede the corrupt one in the
+        // surviving tail.
         assert_eq!(rec.replayed_records, 5, "only the clean prefix replays");
         e.advance_until(&trace, trace.duration_ns());
         let r = e.finish_run();

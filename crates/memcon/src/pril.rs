@@ -42,9 +42,9 @@
 //! couple of word indexings and mask ops with no hashing and no
 //! data-dependent memory allocation.
 //!
-//! The pre-wave hash-set implementation is retained as [`reference`] (under
-//! `cfg(test)` or the `slow-reference` feature) and pinned bit-identical by
-//! seeded equivalence property tests.
+//! The pre-wave hash-set implementation is retained as `reference` (under
+//! `cfg(test)`) and pinned bit-identical by seeded equivalence property
+//! tests.
 
 use memutil::codec::{Dec, Enc};
 
@@ -442,7 +442,7 @@ impl Pril {
 /// path must match this structure write-for-write on every observable —
 /// candidates, stats, occupancy, pending-candidacy — under both tracking
 /// policies, including the overflow edge.
-#[cfg(any(test, feature = "slow-reference"))]
+#[cfg(test)]
 pub mod reference {
     use super::{PageId, PrilStats, TrackingPolicy};
     use std::collections::HashSet;

@@ -15,7 +15,7 @@
 //! event runs — each already time-sorted — into the global `(time, page)`
 //! order that [`WriteTrace::new`] expects. The merge output is exactly the
 //! sorted concatenation the pre-wave generator produced, so traces are
-//! **byte-identical at any `--jobs`** (and to the retained [`reference`]
+//! **byte-identical at any `--jobs`** (and to the retained `reference`
 //! generator). The per-page loops draw hot-page intervals through the
 //! hoisted block sampler
 //! ([`IntervalSampler::fill_ms`](crate::interval::IntervalSampler::fill_ms));
@@ -244,7 +244,7 @@ pub fn generate_with_jobs(profile: &WorkloadProfile, seed: u64, jobs: usize) -> 
 /// a single vector, sorted by [`WriteTrace::new`] — retained as the slow
 /// reference. [`generate_with_jobs`] is pinned byte-identical to it at
 /// every `jobs` value by the equivalence property tests.
-#[cfg(any(test, feature = "slow-reference"))]
+#[cfg(test)]
 pub mod reference {
     use super::{page_seed, Rng, SeedableRng, SmallRng, WorkloadProfile, WriteEvent, WriteTrace};
     use crate::NS_PER_MS;

@@ -2,11 +2,10 @@
 //! are due by time `t`" queries whose cost tracks the number of *due* ids,
 //! not the total population.
 //!
-//! Built for the MEMCON refresh planes (per-page HI-REF/LO-REF refresh due
-//! times in `memcon`, per-row multi-rate bins in `memsim`): populations are
-//! large, per-tick due sets are small, and every consumer must be
-//! bit-reproducible. The design is the classic calendar queue with lazy
-//! deletion:
+//! Built for the MEMCON refresh plane (per-page HI-REF/LO-REF refresh due
+//! times in `memcon::refreshmgr`): populations are large, per-tick due
+//! sets are small, and every consumer must be bit-reproducible. The design
+//! is the classic calendar queue with lazy deletion:
 //!
 //! * an id's authoritative due time lives in a flat `due` array
 //!   (`u64::MAX` = unscheduled) — O(1) schedule/unschedule/query,

@@ -18,8 +18,8 @@
 //!   ordered reduction (the rayon-free parallel substrate for the failure
 //!   model, chip tester, and experiments suite),
 //! * [`calq`] — a deterministic calendar-queue scheduler (plus its
-//!   linear-scan slow reference) backing the refresh due-page planes in
-//!   `memcon` and `memsim`,
+//!   linear-scan slow reference) backing the refresh due-page plane in
+//!   `memcon`,
 //! * [`codec`] — a little-endian binary encoder/decoder used by the durable
 //!   state store (`crates/store`) and the engine snapshot serializers.
 

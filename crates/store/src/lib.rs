@@ -4,19 +4,24 @@
 //! and therefore worth keeping; this crate makes it survive a process
 //! death. The shape follows proven WAL practice:
 //!
-//! * **WAL** — typed state-transition [`Record`]s, each framed
-//!   `[len][crc32][payload]` ([`wal`]), appended to numbered segment
-//!   files (`wal-<seq>.wal`).
+//! * **WAL** — typed run, progress and recovery markers ([`Record`]),
+//!   each framed `[len][crc32][payload]` ([`wal`]), appended to numbered
+//!   segment files (`wal-<seq>.wal`).
 //! * **Snapshots** — opaque engine-state blobs published atomically
-//!   (write-temp → fsync → rename, [`snapshot`]) as `snap-<seq>.snap`.
+//!   (write-temp → rename, with an fsync of the temp file and the
+//!   directory under `Strict`; [`snapshot`]) as `snap-<seq>.snap`.
 //!   Each snapshot names a `wal_bound`: the first segment whose records
 //!   postdate it. Publication rotates the WAL to that bound and prunes
 //!   dead segments, so WAL growth is bounded by snapshot cadence.
 //! * **Recovery** — [`Store::open`] loads the newest snapshot that
 //!   passes its checksum (corrupt ones are reported and deleted, never
-//!   loaded), replays the WAL tail above the bound, detects torn or
+//!   loaded), scans the WAL tail above the bound, detects torn or
 //!   corrupt tails, truncates the file back to the last valid record,
-//!   and reports exactly what it replayed and what it discarded.
+//!   and reports exactly what it kept and what it discarded.
+//!
+//! Snapshots are the state; the WAL is an integrity-checked progress
+//! tail. Nothing is applied from it: the engine rebuilds everything past
+//! a snapshot by re-running the same trace deterministically.
 //!
 //! Three [`DurabilityMode`]s trade safety for speed: `InMemory` (no file
 //! IO at all — benches and tests), `Buffered` (files, no fsync — crash
@@ -146,7 +151,7 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> StoreError {
 pub struct Recovered {
     /// Newest snapshot that passed verification, if any.
     pub snapshot: Option<Snapshot>,
-    /// WAL records above the snapshot bound, in append order.
+    /// Intact WAL records above the snapshot bound, in append order.
     pub tail: Vec<Record>,
     /// `tail.len()` as a counter (mirrors the telemetry metric).
     pub replayed_records: u64,
@@ -202,8 +207,8 @@ impl Store {
     }
 
     /// Opens an existing store, running recovery: load the newest valid
-    /// snapshot, replay the WAL tail, truncate torn/corrupt tails in
-    /// place, delete stale pre-bound segments and corrupt snapshots.
+    /// snapshot, scan the WAL tail, truncate torn/corrupt tails in place,
+    /// delete stale pre-bound segments and corrupt snapshots.
     ///
     /// `plan` arms the `store.short_read` site during the scan (and stays
     /// attached for subsequent appends); pass `None` for a clean open.
@@ -256,7 +261,7 @@ impl Store {
             }
         }
 
-        // Replay live segments in order; stop at the first torn tail and
+        // Scan live segments in order; stop at the first torn tail and
         // repair the files so a re-open sees a clean log.
         let mut torn_at: Option<u64> = None;
         for (&seq, path) in &segs {
@@ -310,7 +315,7 @@ impl Store {
         }
 
         // Position past everything seen: appends go to a fresh segment,
-        // so replayed history is never re-scanned as live tail twice once
+        // so scanned history is never re-scanned as live tail twice once
         // the next snapshot prunes it.
         let seg_seq = segs.keys().next_back().map_or(bound, |&s| s + 1).max(bound);
         let snap_seq = best.as_ref().map_or(0, |s| s.seq + 1);
@@ -423,8 +428,9 @@ impl Store {
     }
 
     /// Publishes `payload` as the next snapshot — atomically (write-temp,
-    /// fsync, rename) — then rotates the WAL past it and prunes segments
-    /// the new snapshot covers plus all but the newest two snapshots.
+    /// rename; under `Strict` also fsync of the temp file and directory) —
+    /// then rotates the WAL past it and prunes segments the new snapshot
+    /// covers plus all but the newest two snapshots.
     pub fn publish_snapshot(&mut self, payload: &[u8]) -> Result<(), StoreError> {
         let new_bound = self.seg_seq + 1;
         let image = snapshot::encode(self.snap_seq, new_bound, payload);

@@ -1,14 +1,17 @@
-//! Typed WAL records: the MEMCON state transitions worth journaling.
+//! Typed WAL records: run, progress and recovery markers.
 //!
 //! Records are compact tagged binary values (one tag byte, then
-//! little-endian fields via [`memutil::codec`]). The WAL is an *audit
-//! trail with a testable tail*: recovery state itself travels in
-//! snapshots, while records document every transition between snapshot
-//! points and give the torn-tail machinery real frames to truncate.
+//! little-endian fields via [`memutil::codec`]). Recovery state travels
+//! in snapshots and is rebuilt past them by deterministic re-execution of
+//! the same trace, so the WAL journals only what locates a run in time:
+//! its begin and finish, one progress marker per quantum (fleet stores:
+//! per epoch), and each recovery. The records between snapshot points
+//! form an integrity-checked tail that recovery scans, counts and
+//! truncates at the first torn or corrupt frame.
 
 use memutil::codec::{Dec, Enc};
 
-/// A single journaled MEMCON state transition.
+/// A single journaled run, progress or recovery marker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
     /// A profiling run started.
@@ -19,59 +22,6 @@ pub enum Record {
         duration_ns: u64,
         /// Test-quantum length in nanoseconds.
         quantum_ns: u64,
-    },
-    /// A retention test was dispatched to a test slot.
-    TestStarted {
-        /// Page under test.
-        page: u64,
-        /// Quantum index at dispatch.
-        quantum: u64,
-    },
-    /// A retention test completed and its verdict was recorded.
-    TestCompleted {
-        /// Page under test.
-        page: u64,
-        /// Verdict discriminant (pass / fail / ambiguous).
-        verdict: u8,
-        /// Completion time in trace nanoseconds.
-        end_ns: u64,
-    },
-    /// A page changed refresh bin.
-    BinChanged {
-        /// The page.
-        page: u64,
-        /// New bin discriminant.
-        state: u8,
-        /// Transition time in trace nanoseconds.
-        at_ns: u64,
-    },
-    /// A page was pinned to HI-REF (escape response).
-    PinHigh {
-        /// The page.
-        page: u64,
-        /// Pin time in trace nanoseconds.
-        at_ns: u64,
-    },
-    /// A HI-REF pin was released after re-test.
-    PinReleased {
-        /// The page.
-        page: u64,
-        /// Release time in trace nanoseconds.
-        at_ns: u64,
-    },
-    /// A page entered the PRIL write-interval tracker.
-    PrilEntered {
-        /// The page.
-        page: u64,
-        /// Quantum index at entry.
-        quantum: u64,
-    },
-    /// A page aged out of PRIL tracking as a test candidate.
-    PrilEvicted {
-        /// The page.
-        page: u64,
-        /// Quantum index at eviction.
-        quantum: u64,
     },
     /// Quantum-boundary progress marker (pairs with cadence snapshots).
     Progress {
@@ -90,24 +40,20 @@ pub enum Record {
         /// Final trace time in nanoseconds.
         at_ns: u64,
     },
-    /// A recovery replayed this store (journaled *after* recovery, in the
+    /// A recovery scanned this store (journaled *after* recovery, in the
     /// fresh post-recovery segment).
     RecoveryEvent {
-        /// Records replayed from the WAL tail.
+        /// Intact records found in the WAL tail.
         replayed_records: u64,
         /// Bytes discarded from a torn or corrupt tail.
         truncated_bytes: u64,
     },
 }
 
+// Tags 1-7 framed per-transition records and are retired; never reuse
+// them, so an old segment holding one scans as a corrupt tail (truncated
+// at recovery) instead of decoding as a different record.
 const TAG_RUN_BEGIN: u8 = 0;
-const TAG_TEST_STARTED: u8 = 1;
-const TAG_TEST_COMPLETED: u8 = 2;
-const TAG_BIN_CHANGED: u8 = 3;
-const TAG_PIN_HIGH: u8 = 4;
-const TAG_PIN_RELEASED: u8 = 5;
-const TAG_PRIL_ENTERED: u8 = 6;
-const TAG_PRIL_EVICTED: u8 = 7;
 const TAG_PROGRESS: u8 = 8;
 const TAG_EPOCH_SAMPLE: u8 = 9;
 const TAG_RUN_FINISHED: u8 = 10;
@@ -128,47 +74,6 @@ impl Record {
                 e.u64(n_pages);
                 e.u64(duration_ns);
                 e.u64(quantum_ns);
-            }
-            Record::TestStarted { page, quantum } => {
-                e.u8(TAG_TEST_STARTED);
-                e.u64(page);
-                e.u64(quantum);
-            }
-            Record::TestCompleted {
-                page,
-                verdict,
-                end_ns,
-            } => {
-                e.u8(TAG_TEST_COMPLETED);
-                e.u64(page);
-                e.u8(verdict);
-                e.u64(end_ns);
-            }
-            Record::BinChanged { page, state, at_ns } => {
-                e.u8(TAG_BIN_CHANGED);
-                e.u64(page);
-                e.u8(state);
-                e.u64(at_ns);
-            }
-            Record::PinHigh { page, at_ns } => {
-                e.u8(TAG_PIN_HIGH);
-                e.u64(page);
-                e.u64(at_ns);
-            }
-            Record::PinReleased { page, at_ns } => {
-                e.u8(TAG_PIN_RELEASED);
-                e.u64(page);
-                e.u64(at_ns);
-            }
-            Record::PrilEntered { page, quantum } => {
-                e.u8(TAG_PRIL_ENTERED);
-                e.u64(page);
-                e.u64(quantum);
-            }
-            Record::PrilEvicted { page, quantum } => {
-                e.u8(TAG_PRIL_EVICTED);
-                e.u64(page);
-                e.u64(quantum);
             }
             Record::Progress { quantum, now_ns } => {
                 e.u8(TAG_PROGRESS);
@@ -210,36 +115,6 @@ impl Record {
                 duration_ns: d.u64()?,
                 quantum_ns: d.u64()?,
             },
-            TAG_TEST_STARTED => Record::TestStarted {
-                page: d.u64()?,
-                quantum: d.u64()?,
-            },
-            TAG_TEST_COMPLETED => Record::TestCompleted {
-                page: d.u64()?,
-                verdict: d.u8()?,
-                end_ns: d.u64()?,
-            },
-            TAG_BIN_CHANGED => Record::BinChanged {
-                page: d.u64()?,
-                state: d.u8()?,
-                at_ns: d.u64()?,
-            },
-            TAG_PIN_HIGH => Record::PinHigh {
-                page: d.u64()?,
-                at_ns: d.u64()?,
-            },
-            TAG_PIN_RELEASED => Record::PinReleased {
-                page: d.u64()?,
-                at_ns: d.u64()?,
-            },
-            TAG_PRIL_ENTERED => Record::PrilEntered {
-                page: d.u64()?,
-                quantum: d.u64()?,
-            },
-            TAG_PRIL_EVICTED => Record::PrilEvicted {
-                page: d.u64()?,
-                quantum: d.u64()?,
-            },
             TAG_PROGRESS => Record::Progress {
                 quantum: d.u64()?,
                 now_ns: d.u64()?,
@@ -268,30 +143,6 @@ mod tests {
                 duration_ns: 1_000_000_000,
                 quantum_ns: 64_000_000,
             },
-            Record::TestStarted {
-                page: 7,
-                quantum: 3,
-            },
-            Record::TestCompleted {
-                page: 7,
-                verdict: 1,
-                end_ns: 123_456,
-            },
-            Record::BinChanged {
-                page: 9,
-                state: 2,
-                at_ns: 42,
-            },
-            Record::PinHigh { page: 1, at_ns: 5 },
-            Record::PinReleased { page: 1, at_ns: 9 },
-            Record::PrilEntered {
-                page: 20,
-                quantum: 1,
-            },
-            Record::PrilEvicted {
-                page: 20,
-                quantum: 2,
-            },
             Record::Progress {
                 quantum: 11,
                 now_ns: 999,
@@ -316,6 +167,12 @@ mod tests {
     #[test]
     fn decode_rejects_unknown_tags_truncation_and_trailing_bytes() {
         assert!(Record::decode(&[200]).is_err(), "unknown tag");
+        for retired in 1..=7u8 {
+            assert!(
+                Record::decode(&[retired, 0]).is_err(),
+                "retired tag {retired}"
+            );
+        }
         assert!(Record::decode(&[]).is_err(), "empty payload");
         let mut bytes = Record::EpochSample { epoch: 1 }.encode();
         bytes.pop();

@@ -136,10 +136,10 @@ fn run_reference_workload() {
 
     // Layer 5: durable-store round trip (store.* counters): a store-backed
     // engine crashes mid-run, its WAL tail is torn mid-record (the classic
-    // partial-write crash), and recovery truncates the tear, replays the
-    // journal, and resumes to completion. Every store.* counter — appends,
-    // bytes, snapshots, replayed records, truncated bytes — fires with a
-    // value that derives from the fixed workload alone.
+    // partial-write crash), and recovery truncates the tear, scans the
+    // intact tail, and resumes to completion. Every store.* counter —
+    // appends, bytes, snapshots, scanned records, truncated bytes — fires
+    // with a value that derives from the fixed workload alone.
     let dir = store::scratch_dir("obs-reference");
     let store_trace = memtrace::workload::WorkloadProfile::netflix()
         .scaled(0.01)
