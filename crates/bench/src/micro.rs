@@ -198,18 +198,6 @@ fn bench_pril(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // The streaming front door: the same writes through the batch entry
-    // point, as a drained ingestion buffer would submit them.
-    g.bench_function("on_write_batch_10k", |b| {
-        b.iter_batched(
-            || Pril::new(65_536, 4096),
-            |mut pril| {
-                pril.on_write_batch(&writes);
-                std::hint::black_box(pril.end_quantum())
-            },
-            BatchSize::SmallInput,
-        )
-    });
     g.finish();
 }
 
@@ -378,16 +366,24 @@ fn bench_telemetry(c: &mut Criterion) {
             }
         })
     });
-    g.bench_function("span_enter_exit_enabled_512", |b| {
-        let registry = telemetry::Registry::new();
-        registry.set_enabled(true);
-        let span = registry.span("bench.span");
-        b.iter(|| {
-            for _ in 0..OPS {
-                let guard = span.start();
-                std::hint::black_box(&guard);
-            }
-        })
+    g.bench_function("tree_span_open_close_enabled_512", |b| {
+        // A fresh tree per sample: 512 nodes fit its default capacity, so
+        // every open records a node instead of hitting the full-store path.
+        b.iter_batched(
+            || {
+                let registry = telemetry::Registry::new();
+                registry.set_enabled(true);
+                registry.tree()
+            },
+            |tree| {
+                for _ in 0..OPS {
+                    let guard = tree.open("bench.span");
+                    std::hint::black_box(&guard);
+                }
+                tree
+            },
+            BatchSize::SmallInput,
+        )
     });
     g.bench_function("trace_record_enabled_512", |b| {
         let registry = Arc::new(telemetry::Registry::new());

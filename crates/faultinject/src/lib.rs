@@ -29,6 +29,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
+use memutil::codec::{Codec, Dec, Enc};
 use memutil::json::Json;
 
 /// The JSON schema identifier of serialized plans.
@@ -484,29 +485,25 @@ impl FaultSession {
     pub fn total_injected(&self) -> u64 {
         self.injected.iter().sum()
     }
+}
 
-    /// Per-site decision tallies, indexed like [`Site::ALL`] — together
-    /// with [`injected_counts`](Self::injected_counts) this is the
-    /// session's full persistable position in its decision streams.
-    #[must_use]
-    pub fn decision_counts(&self) -> [u64; N_SITES] {
-        self.decisions
+/// Snapshot layout of a session: its plan as JSON, then the per-site
+/// decision and injection tallies — the session's full position in its
+/// decision streams, so a recovered engine resumes drawing the *same*
+/// decision sequence an uninterrupted run would have drawn.
+impl Codec for FaultSession {
+    fn encode(&self, e: &mut Enc) {
+        e.str(&self.plan.to_json().emit());
+        self.decisions.encode(e);
+        self.injected.encode(e);
     }
 
-    /// Rebuilds a session mid-stream from persisted tallies, so a
-    /// recovered engine resumes drawing the *same* decision sequence an
-    /// uninterrupted run would have drawn.
-    #[must_use]
-    pub fn restore(
-        plan: Arc<FaultPlan>,
-        decisions: [u64; N_SITES],
-        injected: [u64; N_SITES],
-    ) -> FaultSession {
-        FaultSession {
-            plan,
-            decisions,
-            injected,
-        }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, String> {
+        Ok(FaultSession {
+            plan: Arc::new(FaultPlan::parse(&d.str()?)?),
+            decisions: Codec::decode(d)?,
+            injected: Codec::decode(d)?,
+        })
     }
 }
 
@@ -708,11 +705,11 @@ mod tests {
         let plan = Arc::new(FaultPlan::uniform(21, 0.4));
         let mut live = FaultSession::with_plan(Arc::clone(&plan));
         let first: Vec<bool> = (0..100).map(|_| live.fires(Site::StoreTornWrite)).collect();
-        let mut resumed = FaultSession::restore(
-            Arc::clone(&plan),
-            live.decision_counts(),
-            live.injected_counts(),
-        );
+        let mut e = Enc::new();
+        live.encode(&mut e);
+        let bytes = e.into_bytes();
+        let mut resumed = FaultSession::decode(&mut Dec::new(&bytes)).unwrap();
+        assert_eq!(resumed.plan(), live.plan());
         let tail_live: Vec<bool> = (0..100).map(|_| live.fires(Site::StoreTornWrite)).collect();
         let tail_resumed: Vec<bool> = (0..100)
             .map(|_| resumed.fires(Site::StoreTornWrite))

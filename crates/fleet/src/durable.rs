@@ -23,7 +23,7 @@
 use std::path::{Path, PathBuf};
 
 use memcon::engine::LiveStats;
-use memutil::codec::{Dec, Enc};
+use memutil::codec::{Codec, Dec, Enc};
 
 /// Meta-snapshot payload format version (the first payload byte).
 const META_VERSION: u8 = 1;
@@ -73,6 +73,21 @@ pub struct EpochEntry {
     pub shards_done: u64,
 }
 
+memutil::codec_struct!(EpochEntry {
+    epoch,
+    faults_injected,
+    aborts,
+    retries,
+    backoffs_scheduled,
+    backoff_ceiling_hits,
+    escapes,
+    pinned_pages,
+    pages,
+    pril_buffered,
+    pril_capacity,
+    shards_done,
+});
+
 /// Emits one epoch entry through the current [`telemetry`] registry:
 /// the six `fleet.obs.*` counter deltas, then the five `fleet.gauge.*`
 /// gauges as a time-series sample at tick = epoch. Live barriers and
@@ -113,42 +128,19 @@ pub struct FleetMeta {
     pub last_live: Vec<LiveStats>,
 }
 
+memutil::codec_struct!(FleetMeta {
+    epoch,
+    entries,
+    last_live
+});
+
 impl FleetMeta {
     /// Encodes the meta snapshot payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::with_capacity(64 + 96 * self.entries.len() + 96 * self.last_live.len());
         e.u8(META_VERSION);
-        e.u64(self.epoch);
-        e.u64(self.entries.len() as u64);
-        for entry in &self.entries {
-            e.u64(entry.epoch);
-            e.u64(entry.faults_injected);
-            e.u64(entry.aborts);
-            e.u64(entry.retries);
-            e.u64(entry.backoffs_scheduled);
-            e.u64(entry.backoff_ceiling_hits);
-            e.u64(entry.escapes);
-            e.u64(entry.pinned_pages);
-            e.u64(entry.pages);
-            e.u64(entry.pril_buffered);
-            e.u64(entry.pril_capacity);
-            e.u64(entry.shards_done);
-        }
-        e.u64(self.last_live.len() as u64);
-        for live in &self.last_live {
-            e.u64(live.faults_injected);
-            e.u64(live.aborts);
-            e.u64(live.retries);
-            e.u64(live.backoffs_scheduled);
-            e.u64(live.backoff_ceiling_hits);
-            e.u64(live.degraded_rows);
-            e.u64(live.escapes);
-            e.u64(live.pinned_pages);
-            e.u64(live.pril_buffered);
-            e.u64(live.pril_capacity);
-            e.u64(live.pages);
-        }
+        Codec::encode(self, &mut e);
         e.into_bytes()
     }
 
@@ -166,48 +158,9 @@ impl FleetMeta {
                 "fleet meta version {version} is not supported (expected {META_VERSION})"
             ));
         }
-        let epoch = d.u64()?;
-        let n_entries = d.u64()?;
-        let mut entries = Vec::with_capacity(n_entries.min(4096) as usize);
-        for _ in 0..n_entries {
-            entries.push(EpochEntry {
-                epoch: d.u64()?,
-                faults_injected: d.u64()?,
-                aborts: d.u64()?,
-                retries: d.u64()?,
-                backoffs_scheduled: d.u64()?,
-                backoff_ceiling_hits: d.u64()?,
-                escapes: d.u64()?,
-                pinned_pages: d.u64()?,
-                pages: d.u64()?,
-                pril_buffered: d.u64()?,
-                pril_capacity: d.u64()?,
-                shards_done: d.u64()?,
-            });
-        }
-        let n_live = d.u64()?;
-        let mut last_live = Vec::with_capacity(n_live.min(4096) as usize);
-        for _ in 0..n_live {
-            last_live.push(LiveStats {
-                faults_injected: d.u64()?,
-                aborts: d.u64()?,
-                retries: d.u64()?,
-                backoffs_scheduled: d.u64()?,
-                backoff_ceiling_hits: d.u64()?,
-                degraded_rows: d.u64()?,
-                escapes: d.u64()?,
-                pinned_pages: d.u64()?,
-                pril_buffered: d.u64()?,
-                pril_capacity: d.u64()?,
-                pages: d.u64()?,
-            });
-        }
+        let meta = <FleetMeta as Codec>::decode(&mut d)?;
         d.finish("fleet meta snapshot")?;
-        Ok(FleetMeta {
-            epoch,
-            entries,
-            last_live,
-        })
+        Ok(meta)
     }
 }
 
@@ -269,6 +222,18 @@ mod tests {
                 LiveStats::default(),
             ],
         }
+    }
+
+    #[test]
+    fn meta_payload_bytes_are_pinned() {
+        // FNV-1a 64 of the encoding, frozen with the format.
+        let digest = sample_meta()
+            .encode()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(digest, 0x18df_b820_bc2b_d253);
     }
 
     #[test]

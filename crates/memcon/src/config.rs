@@ -24,6 +24,11 @@ impl Default for RecoveryPolicy {
     }
 }
 
+memutil::codec_struct!(RecoveryPolicy {
+    max_attempts,
+    backoff_cap_quanta
+});
+
 /// Configuration of a MEMCON deployment (paper Sections 3–4, Table 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemconConfig {
@@ -51,6 +56,18 @@ pub struct MemconConfig {
     /// Abort/retry and fail-safe degradation policy.
     pub recovery: RecoveryPolicy,
 }
+
+// Decoding does not validate: callers run `validate` on what they read.
+memutil::codec_struct!(MemconConfig {
+    quantum_ms,
+    hi_ms,
+    lo_ms,
+    test_mode,
+    concurrent_tests,
+    write_buffer_capacity,
+    steady_state_start,
+    recovery,
+});
 
 impl MemconConfig {
     /// The paper's main configuration: 1024 ms quantum, 16/64 ms HI/LO,

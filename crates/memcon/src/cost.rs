@@ -19,6 +19,7 @@
 //! and 480/448 ms at LO = 128/256 ms.
 
 use dram::timing::TimingParams;
+use memutil::codec::{Codec, Dec, Enc};
 
 /// Where the in-test row's content is buffered during a test
 /// (paper Section 3.3).
@@ -26,11 +27,26 @@ use dram::timing::TimingParams;
 pub enum TestMode {
     /// Buffer the whole row in the memory controller; read the row twice.
     /// Cost `2·(tRCD + 128·tCCD + tRP)` = 1068 ns.
-    ReadAndCompare,
+    ReadAndCompare = 0,
     /// Stage the row in a reserved memory region, keep only an ECC signature
     /// in the controller; read twice plus write once. Cost
     /// `3·(tRCD + 128·tCCD + tRP)` = 1602 ns.
-    CopyAndCompare,
+    CopyAndCompare = 1,
+}
+
+/// One snapshot byte: the discriminant.
+impl Codec for TestMode {
+    fn encode(&self, e: &mut Enc) {
+        e.u8(*self as u8);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, String> {
+        let tag = d.u8()?;
+        TestMode::ALL
+            .into_iter()
+            .find(|m| *m as u8 == tag)
+            .ok_or_else(|| format!("unknown test mode tag {tag}"))
+    }
 }
 
 impl TestMode {

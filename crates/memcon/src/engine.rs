@@ -22,11 +22,11 @@ use std::sync::Arc;
 
 use faultinject::{FaultPlan, FaultSession, Site};
 use memtrace::trace::WriteTrace;
-use memutil::codec::{Dec, Enc};
+use memutil::codec::{Codec, Dec, Enc};
 use store::{DurabilityMode, Record, Recovered, Store, StoreError};
 
 use crate::config::MemconConfig;
-use crate::cost::{CostModel, TestMode};
+use crate::cost::CostModel;
 use crate::pril::{PageId, Pril, PrilStats};
 use crate::refreshmgr::{PageState, RefreshManager};
 use crate::testengine::{
@@ -89,6 +89,21 @@ pub struct RecoveryStats {
     pub uncorrectable_escapes: u64,
 }
 
+memutil::codec_struct!(RecoveryStats {
+    faults_injected,
+    aborts,
+    retries,
+    backoffs_scheduled,
+    backoff_ceiling_hits,
+    backoff_hist,
+    backoff_sum_quanta,
+    degraded_rows,
+    ambiguous,
+    ecc_corrected,
+    ecc_uncorrectable,
+    uncorrectable_escapes,
+});
+
 fn backoff_bucket(quanta: u64) -> usize {
     BACKOFF_EDGES
         .iter()
@@ -101,25 +116,6 @@ fn candidate_bucket(count: u64) -> usize {
         .iter()
         .position(|&e| count <= e)
         .unwrap_or(CANDIDATE_EDGES.len())
-}
-
-fn opt_u64(e: &mut Enc, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            e.bool(true);
-            e.u64(x);
-        }
-        None => e.bool(false),
-    }
-}
-
-fn read_opt_u64(d: &mut Dec) -> Result<Option<u64>, String> {
-    Ok(if d.bool()? { Some(d.u64()?) } else { None })
-}
-
-fn site_counts(v: Vec<u64>, what: &str) -> Result<[u64; faultinject::N_SITES], String> {
-    v.try_into()
-        .map_err(|_| format!("{what}: expected one counter per fault site"))
 }
 
 /// Everything the paper's Figs. 14, 17, and 18 need from one engine run.
@@ -212,6 +208,20 @@ pub struct LiveStats {
     pub pages: u64,
 }
 
+memutil::codec_struct!(LiveStats {
+    faults_injected,
+    aborts,
+    retries,
+    backoffs_scheduled,
+    backoff_ceiling_hits,
+    degraded_rows,
+    escapes,
+    pinned_pages,
+    pril_buffered,
+    pril_capacity,
+    pages,
+});
+
 /// Persistent state of a stepped run between [`MemconEngine::begin_run`]
 /// and [`MemconEngine::finish_run`]. Holding the refresh manager and the
 /// event cursor here (instead of on `run`'s stack) is what lets a fleet
@@ -219,6 +229,12 @@ pub struct LiveStats {
 #[derive(Debug)]
 struct RunState {
     mgr: RefreshManager,
+    clock: RunClock,
+}
+
+/// A stepped run's position and fixed timing.
+#[derive(Debug)]
+struct RunClock {
     /// Cursor into `trace.events()`: events before it are consumed.
     event_idx: usize,
     /// Next quantum boundary, ns.
@@ -227,8 +243,17 @@ struct RunState {
     mwi_ns: u64,
     duration: u64,
     /// Oracle memo counters at run start (telemetry reports the delta).
-    memo_before: crate::testengine::MemoStats,
+    memo_before: MemoStats,
 }
+
+memutil::codec_struct!(RunClock {
+    event_idx,
+    next_quantum,
+    quantum_ns,
+    mwi_ns,
+    duration,
+    memo_before,
+});
 
 /// The MEMCON engine.
 #[derive(Debug)]
@@ -384,7 +409,7 @@ impl MemconEngine {
     /// Attaches a durable [`Store`]: subsequent runs publish an engine
     /// snapshot every `snapshot_every` quanta (plus one at
     /// [`MemconEngine::begin_run`] and one at [`MemconEngine::finish_run`])
-    /// and journal run begin/finish plus one [`Record::Progress`] marker
+    /// and journal run begin plus one [`Record::Progress`] marker
     /// per quantum to its WAL. A crashed run recovers via
     /// [`MemconEngine::recover`], which resumes from the newest snapshot.
     ///
@@ -486,8 +511,8 @@ impl MemconEngine {
     }
 
     /// Encodes the complete engine state (including the in-progress run,
-    /// when one is passed) into a snapshot payload. The layout is private
-    /// to this module and versioned by [`SNAP_VERSION`].
+    /// when one is passed) into a snapshot payload. Each component lays out
+    /// its own section; this sequences them, versioned by [`SNAP_VERSION`].
     ///
     /// # Panics
     ///
@@ -497,19 +522,8 @@ impl MemconEngine {
         let mut e = Enc::with_capacity(64 * 1024);
         e.u8(SNAP_VERSION);
         // Configuration: enough to rebuild an identical engine.
-        e.f64(self.config.quantum_ms);
-        e.f64(self.config.hi_ms);
-        e.f64(self.config.lo_ms);
-        e.u8(match self.config.test_mode {
-            TestMode::ReadAndCompare => 0,
-            TestMode::CopyAndCompare => 1,
-        });
-        e.u32(self.config.concurrent_tests);
-        e.u64(self.config.write_buffer_capacity as u64);
-        e.bool(self.config.steady_state_start);
-        e.u32(self.config.recovery.max_attempts);
-        e.u32(self.config.recovery.backoff_cap_quanta);
-        e.u64(self.n_pages);
+        self.config.encode(&mut e);
+        self.n_pages.encode(&mut e);
         // Oracle (tag 0 = rate oracle; the only persistable kind today).
         e.u8(0);
         let oracle = self
@@ -519,74 +533,36 @@ impl MemconEngine {
             .expect("store attached over a non-persistable oracle");
         e.bytes(&oracle);
         // Engine-plane fault session: the plan plus both replay cursors.
-        match self.tests.fault_session() {
-            Some(s) => {
-                e.bool(true);
-                e.str(&s.plan().to_json().emit());
-                e.u64_slice(&s.decision_counts());
-                e.u64_slice(&s.injected_counts());
-            }
-            None => e.bool(false),
-        }
+        self.tests.fault_session().cloned().encode(&mut e);
         self.pril.encode_state(&mut e);
         self.tests.encode_state(&mut e);
-        e.u64_slice(&self.generation);
+        self.generation.encode(&mut e);
+        // Per-page planes sized by `n_pages`: no count prefix.
         for a in &self.lo_anchor {
-            opt_u64(&mut e, *a);
+            a.encode(&mut e);
         }
         for a in &self.attempts {
-            e.u64(u64::from(*a));
+            u64::from(*a).encode(&mut e);
         }
         for r in &self.retry_at {
-            opt_u64(&mut e, *r);
+            r.encode(&mut e);
         }
-        e.u64_slice(&self.retry_queue);
+        self.retry_queue.encode(&mut e);
         for c in &self.clean_gen {
-            opt_u64(&mut e, *c);
+            c.encode(&mut e);
         }
-        e.u64(self.quantum_index);
-        e.u64(self.tests_correct);
-        e.u64(self.tests_mispredicted);
-        let r = &self.recovery;
-        e.u64_slice(&r.faults_injected);
-        e.u64(r.aborts);
-        e.u64(r.retries);
-        e.u64(r.backoffs_scheduled);
-        e.u64(r.backoff_ceiling_hits);
-        e.u64_slice(&r.backoff_hist);
-        e.u64(r.backoff_sum_quanta);
-        e.u64(r.degraded_rows);
-        e.u64(r.ambiguous);
-        e.u64(r.ecc_corrected);
-        e.u64(r.ecc_uncorrectable);
-        e.u64(r.uncorrectable_escapes);
-        e.u64_slice(&self.candidate_hist);
-        e.u64(self.last_states.len() as u64);
-        for s in &self.last_states {
-            e.u8(match s {
-                PageState::HiRef => 0,
-                PageState::Testing => 1,
-                PageState::LoRef => 2,
-            });
-        }
-        e.u64(self.last_pinned.len() as u64);
-        for p in &self.last_pinned {
-            e.bool(*p);
-        }
-        e.u64(self.snapshot_every);
-        match run {
-            Some(run) => {
-                e.bool(true);
-                run.mgr.encode_state(&mut e);
-                e.u64(run.event_idx as u64);
-                e.u64(run.next_quantum);
-                e.u64(run.quantum_ns);
-                e.u64(run.mwi_ns);
-                e.u64(run.duration);
-                e.u64(run.memo_before.hits);
-                e.u64(run.memo_before.misses);
-            }
-            None => e.bool(false),
+        self.quantum_index.encode(&mut e);
+        self.tests_correct.encode(&mut e);
+        self.tests_mispredicted.encode(&mut e);
+        self.recovery.encode(&mut e);
+        self.candidate_hist.encode(&mut e);
+        self.last_states.encode(&mut e);
+        self.last_pinned.encode(&mut e);
+        self.snapshot_every.encode(&mut e);
+        e.bool(run.is_some());
+        if let Some(run) = run {
+            run.mgr.encode_state(&mut e);
+            run.clock.encode(&mut e);
         }
         e.into_bytes()
     }
@@ -601,120 +577,51 @@ impl MemconEngine {
                 "engine snapshot version {version} is not supported (expected {SNAP_VERSION})"
             ));
         }
-        let mut config = MemconConfig::paper_default();
-        config.quantum_ms = d.f64()?;
-        config.hi_ms = d.f64()?;
-        config.lo_ms = d.f64()?;
-        config.test_mode = match d.u8()? {
-            0 => TestMode::ReadAndCompare,
-            1 => TestMode::CopyAndCompare,
-            t => return Err(format!("unknown test mode tag {t}")),
-        };
-        config.concurrent_tests = d.u32()?;
-        config.write_buffer_capacity = usize::try_from(d.u64()?)
-            .map_err(|_| "write buffer capacity exceeds the address space".to_string())?;
-        config.steady_state_start = d.bool()?;
-        config.recovery.max_attempts = d.u32()?;
-        config.recovery.backoff_cap_quanta = d.u32()?;
+        let config = MemconConfig::decode(&mut d)?;
         config.validate()?;
-        let n_pages = d.u64()?;
+        let n_pages = u64::decode(&mut d)?;
         let oracle: Box<dyn FailureOracle> = match d.u8()? {
             0 => Box::new(RateOracle::from_persisted(d.bytes()?)?),
             t => return Err(format!("unknown oracle tag {t}")),
         };
         let mut eng = MemconEngine::with_oracle(config, n_pages, oracle);
-        if d.bool()? {
-            let plan = FaultPlan::parse(&d.str()?)?;
-            let plan = Arc::new(plan);
-            let decisions = site_counts(d.u64_vec()?, "fault decision counts")?;
-            let injected = site_counts(d.u64_vec()?, "fault injected counts")?;
-            eng.fault_plan = Some(Arc::clone(&plan));
-            eng.tests
-                .set_fault_session(Some(FaultSession::restore(plan, decisions, injected)));
+        if let Some(session) = Option::<FaultSession>::decode(&mut d)? {
+            eng.fault_plan = Some(Arc::clone(session.plan()));
+            eng.tests.set_fault_session(Some(session));
         }
         eng.pril.restore_state(&mut d)?;
         eng.tests.restore_state(&mut d)?;
-        let pages = n_pages as usize;
-        let generation = d.u64_vec()?;
-        if generation.len() != pages {
+        eng.generation = Codec::decode(&mut d)?;
+        if eng.generation.len() != eng.lo_anchor.len() {
             return Err("generation vector does not match the page count".to_string());
         }
-        eng.generation = generation;
         for a in &mut eng.lo_anchor {
-            *a = read_opt_u64(&mut d)?;
+            *a = Codec::decode(&mut d)?;
         }
         for a in &mut eng.attempts {
-            *a = u32::try_from(d.u64()?).map_err(|_| "attempt counter exceeds u32".to_string())?;
+            *a = u32::try_from(u64::decode(&mut d)?)
+                .map_err(|_| "attempt counter exceeds u32".to_string())?;
         }
         for r in &mut eng.retry_at {
-            *r = read_opt_u64(&mut d)?;
+            *r = Codec::decode(&mut d)?;
         }
-        eng.retry_queue = d.u64_vec()?;
+        eng.retry_queue = Codec::decode(&mut d)?;
         for c in &mut eng.clean_gen {
-            *c = read_opt_u64(&mut d)?;
+            *c = Codec::decode(&mut d)?;
         }
-        eng.quantum_index = d.u64()?;
-        eng.tests_correct = d.u64()?;
-        eng.tests_mispredicted = d.u64()?;
-        eng.recovery.faults_injected = site_counts(d.u64_vec()?, "injected fault counters")?;
-        eng.recovery.aborts = d.u64()?;
-        eng.recovery.retries = d.u64()?;
-        eng.recovery.backoffs_scheduled = d.u64()?;
-        eng.recovery.backoff_ceiling_hits = d.u64()?;
-        eng.recovery.backoff_hist = d
-            .u64_vec()?
-            .try_into()
-            .map_err(|_| "backoff histogram bucket count mismatch".to_string())?;
-        eng.recovery.backoff_sum_quanta = d.u64()?;
-        eng.recovery.degraded_rows = d.u64()?;
-        eng.recovery.ambiguous = d.u64()?;
-        eng.recovery.ecc_corrected = d.u64()?;
-        eng.recovery.ecc_uncorrectable = d.u64()?;
-        eng.recovery.uncorrectable_escapes = d.u64()?;
-        eng.candidate_hist = d
-            .u64_vec()?
-            .try_into()
-            .map_err(|_| "candidate histogram bucket count mismatch".to_string())?;
-        let n_states = d.u64()? as usize;
-        let mut last_states = Vec::with_capacity(n_states);
-        for _ in 0..n_states {
-            last_states.push(match d.u8()? {
-                0 => PageState::HiRef,
-                1 => PageState::Testing,
-                2 => PageState::LoRef,
-                t => return Err(format!("unknown page state tag {t}")),
-            });
-        }
-        eng.last_states = last_states;
-        let n_pinned = d.u64()? as usize;
-        let mut last_pinned = Vec::with_capacity(n_pinned);
-        for _ in 0..n_pinned {
-            last_pinned.push(d.bool()?);
-        }
-        eng.last_pinned = last_pinned;
-        eng.snapshot_every = d.u64()?;
+        eng.quantum_index = Codec::decode(&mut d)?;
+        eng.tests_correct = Codec::decode(&mut d)?;
+        eng.tests_mispredicted = Codec::decode(&mut d)?;
+        eng.recovery = Codec::decode(&mut d)?;
+        eng.candidate_hist = Codec::decode(&mut d)?;
+        eng.last_states = Codec::decode(&mut d)?;
+        eng.last_pinned = Codec::decode(&mut d)?;
+        eng.snapshot_every = Codec::decode(&mut d)?;
         if d.bool()? {
-            let mut mgr = RefreshManager::new(n_pages, eng.config.hi_ms, eng.config.lo_ms);
+            let mut mgr = eng.fresh_refresh_manager();
             mgr.restore_state(&mut d)?;
-            let event_idx = usize::try_from(d.u64()?)
-                .map_err(|_| "event cursor exceeds the address space".to_string())?;
-            let next_quantum = d.u64()?;
-            let quantum_ns = d.u64()?;
-            let mwi_ns = d.u64()?;
-            let duration = d.u64()?;
-            let memo_before = MemoStats {
-                hits: d.u64()?,
-                misses: d.u64()?,
-            };
-            eng.run = Some(RunState {
-                mgr,
-                event_idx,
-                next_quantum,
-                quantum_ns,
-                mwi_ns,
-                duration,
-                memo_before,
-            });
+            let clock = RunClock::decode(&mut d)?;
+            eng.run = Some(RunState { mgr, clock });
         }
         d.finish("engine snapshot")?;
         Ok(eng)
@@ -880,7 +787,7 @@ impl MemconEngine {
         // snapshot them so telemetry reports this run's delta, including the
         // steady-state pre-pass below.
         let memo_before = self.tests.memo_counters().unwrap_or_default();
-        let mut mgr = RefreshManager::new(self.n_pages, self.config.hi_ms, self.config.lo_ms);
+        let mut mgr = self.fresh_refresh_manager();
         if self.config.steady_state_start {
             // The trace window opens on a long-running system: every page
             // holding static content was tested before the window; clean
@@ -898,12 +805,14 @@ impl MemconEngine {
         let quantum_ns = (self.config.quantum_ms * 1e6) as u64;
         let run = RunState {
             mgr,
-            event_idx: 0,
-            next_quantum: quantum_ns,
-            quantum_ns,
-            mwi_ns: (self.config.min_write_interval_ms() * 1e6) as u64,
-            duration: trace.duration_ns(),
-            memo_before,
+            clock: RunClock {
+                event_idx: 0,
+                next_quantum: quantum_ns,
+                quantum_ns,
+                mwi_ns: (self.config.min_write_interval_ms() * 1e6) as u64,
+                duration: trace.duration_ns(),
+                memo_before,
+            },
         };
         if self.store.is_some() {
             // The store draws its own decision stream from the same plan
@@ -919,8 +828,8 @@ impl MemconEngine {
             }
             self.journal(&Record::RunBegin {
                 n_pages: self.n_pages,
-                duration_ns: run.duration,
-                quantum_ns: run.quantum_ns,
+                duration_ns: run.clock.duration,
+                quantum_ns: run.clock.quantum_ns,
             });
             // Anchor snapshot: recovery always has a post-pre-pass state to
             // resume from, even before the first cadence boundary.
@@ -944,12 +853,13 @@ impl MemconEngine {
             .run
             .take()
             .expect("advance_until without begin_run in progress");
-        let limit = limit_ns.min(run.duration);
+        let limit = limit_ns.min(run.clock.duration);
         let events = trace.events();
         loop {
-            let t_event = events.get(run.event_idx).map(|e| e.time_ns);
+            let t_event = events.get(run.clock.event_idx).map(|e| e.time_ns);
             let t_test = self.tests.next_completion_ns();
-            let t_quantum = (run.next_quantum <= run.duration).then_some(run.next_quantum);
+            let t_quantum =
+                (run.clock.next_quantum <= run.clock.duration).then_some(run.clock.next_quantum);
             // Earliest happening; completions tie-break first so a test that
             // ends exactly when a write arrives completes before the write
             // invalidates it (the write targets the *new* content).
@@ -960,12 +870,12 @@ impl MemconEngine {
             }
 
             if t_test == Some(now) {
-                self.handle_completions(now, &mut run.mgr, run.duration);
+                self.handle_completions(now, &mut run.mgr, run.clock.duration);
                 continue;
             }
             if t_quantum == Some(now) {
-                self.handle_quantum(now, &mut run.mgr, run.mwi_ns);
-                run.next_quantum += run.quantum_ns;
+                self.handle_quantum(now, &mut run.mgr, run.clock.mwi_ns);
+                run.clock.next_quantum += run.clock.quantum_ns;
                 if self.store.is_some() {
                     self.journal(&Record::Progress {
                         quantum: self.quantum_index,
@@ -978,11 +888,17 @@ impl MemconEngine {
                 }
                 continue;
             }
-            let e = events[run.event_idx];
-            run.event_idx += 1;
-            self.handle_write(e.page, e.time_ns, &mut run.mgr, run.mwi_ns);
+            let e = events[run.clock.event_idx];
+            run.clock.event_idx += 1;
+            self.handle_write(e.page, e.time_ns, &mut run.mgr, run.clock.mwi_ns);
         }
         self.run = Some(run);
+    }
+
+    /// A refresh manager for this engine's pages and intervals, every page
+    /// at HI-REF.
+    fn fresh_refresh_manager(&self) -> RefreshManager {
+        RefreshManager::new(self.n_pages, self.config.hi_ms, self.config.lo_ms)
     }
 
     /// Completes a stepped run: drains horizon completions, finalizes the
@@ -998,11 +914,11 @@ impl MemconEngine {
             .run
             .take()
             .expect("finish_run without begin_run in progress");
-        let RunState {
+        let RunClock {
             duration,
             memo_before,
             ..
-        } = run;
+        } = run.clock;
         let mgr = &mut run.mgr;
         // Drain tests completing exactly at the horizon.
         self.handle_completions(duration, mgr, duration);
@@ -1046,18 +962,10 @@ impl MemconEngine {
             self.flush_telemetry(&mgr, memo_before);
         }
         if self.store.is_some() {
-            self.journal(&Record::RunFinished { at_ns: duration });
             // Terminal snapshot (no run section): a recovery after a clean
             // finish resumes a completed engine, not a mid-run one.
             let payload = self.encode_state(None);
             self.publish_payload(&payload);
-            if self.store_error.is_none() {
-                if let Some(store) = self.store.as_mut() {
-                    if let Err(e) = store.sync() {
-                        self.store_error = Some(e);
-                    }
-                }
-            }
         }
         let test_cost = self.cost.test_cost_ns(self.config.test_mode);
         let refresh_ops = mgr.refresh_ops();
@@ -1805,6 +1713,69 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// FNV-1a 64 of a snapshot payload.
+    fn digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Payload of the newest snapshot an `InMemory` store holds.
+    fn published_payload(e: &MemconEngine) -> Vec<u8> {
+        let image = e
+            .store()
+            .and_then(Store::mem_snapshot)
+            .expect("a published snapshot");
+        store::snapshot::decode(image).unwrap().payload
+    }
+
+    #[test]
+    fn snapshot_payloads_are_byte_pinned_and_decode_strictly() {
+        // Pins the snapshot format itself: a store-backed faulted run's
+        // mid-run cadence payload (with in-flight tests, armed retries and
+        // a pin) and its terminal payload must hash to the digests the
+        // format was frozen at, re-encode to themselves, and reject every
+        // truncation with an error rather than a panic.
+        let trace = WorkloadProfile::netflix().scaled(0.2).generate(7);
+        let plan = FaultPlan::new(0xDEAD_BEEF)
+            .with_site(Site::TestPreempt, SiteSpec::rate(0.1))
+            .with_site(Site::TornRead, SiteSpec::rate(0.3))
+            .with_site(Site::EccUncorrectable, SiteSpec::rate(0.1));
+        let mut e = MemconEngine::new(cfg(), trace.n_pages());
+        e.set_fault_plan(Some(Arc::new(plan)));
+        let store = Store::create(&scratch_dir("engine-pinned"), DurabilityMode::InMemory).unwrap();
+        e.attach_store(store, 3).unwrap();
+        e.begin_run(&trace);
+        // The newest cadence snapshot before 31 quanta is quantum 30's.
+        e.advance_until(&trace, 31 * 1024 * MS);
+        let mid = published_payload(&e);
+        e.advance_until(&trace, trace.duration_ns());
+        e.finish_run();
+        let terminal = published_payload(&e);
+        assert_eq!(digest(&mid), 0xa969_949b_b501_1c19, "mid-run payload bytes");
+        assert_eq!(
+            digest(&terminal),
+            0xeb5c_2a9c_5cb5_0464,
+            "terminal payload bytes"
+        );
+
+        let resumed = MemconEngine::decode_state(&mid).unwrap();
+        assert!(resumed.tests.in_flight() > 0, "tests in flight");
+        assert!(!resumed.retry_queue.is_empty(), "retries armed");
+        let run = resumed.run.as_ref().expect("mid-run payload");
+        assert!(run.mgr.pinned_count() > 0, "a page is pinned");
+        for payload in [&mid, &terminal] {
+            let engine = MemconEngine::decode_state(payload).unwrap();
+            assert_eq!(&engine.encode_state(engine.run.as_ref()), payload);
+        }
+        for len in 0..mid.len() {
+            assert!(
+                MemconEngine::decode_state(&mid[..len]).is_err(),
+                "a {len}-byte prefix decoded"
+            );
+        }
+    }
+
     #[test]
     fn wal_tail_holds_only_run_progress_and_recovery_markers() {
         // Tests, retries and pins all happen before the crash, yet the
@@ -1850,7 +1821,6 @@ mod tests {
                     Record::RunBegin { .. }
                         | Record::Progress { .. }
                         | Record::EpochSample { .. }
-                        | Record::RunFinished { .. }
                         | Record::RecoveryEvent { .. }
                 ),
                 "unexpected record {rec:?}"

@@ -46,7 +46,7 @@
 //! `cfg(test)`) and pinned bit-identical by seeded equivalence property
 //! tests.
 
-use memutil::codec::{Dec, Enc};
+use memutil::codec::{Codec, Dec, Enc};
 
 /// Page identifier (8 KB granularity).
 pub type PageId = u64;
@@ -84,6 +84,16 @@ pub struct PrilStats {
     pub quanta: u64,
 }
 
+memutil::codec_struct!(PrilStats {
+    writes,
+    inserted,
+    evicted_repeat,
+    evicted_previous,
+    overflowed,
+    candidates,
+    quanta,
+});
+
 /// One write-map + write-buffer pair for a single quantum, stored as
 /// struct-of-arrays bit-vectors.
 #[derive(Debug, Clone, Default)]
@@ -101,6 +111,13 @@ struct QuantumTracker {
     /// `buf` bitmap on drain.
     order: Vec<PageId>,
 }
+
+memutil::codec_struct!(QuantumTracker {
+    map,
+    buf,
+    len,
+    order
+});
 
 impl QuantumTracker {
     fn new(n_words: usize) -> Self {
@@ -184,10 +201,14 @@ impl Pril {
         (self.previous.buf[(page >> 6) as usize] >> (page & 63)) & 1 == 1
     }
 
-    /// One write, stats.writes excluded (hoisted by the batch entry point).
-    #[inline]
-    fn write_one(&mut self, page: PageId) {
+    /// Processes a write access to `page` (Fig. 13, left side).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn on_write(&mut self, page: PageId) {
         assert!(page < self.n_pages, "page {page} out of range");
+        self.stats.writes += 1;
         let w = (page >> 6) as usize;
         let bit = 1u64 << (page & 63);
         // Step ¸: a write in this quantum disqualifies the page from the
@@ -228,54 +249,17 @@ impl Pril {
         }
     }
 
-    /// Processes a write access to `page` (Fig. 13, left side).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    pub fn on_write(&mut self, page: PageId) {
-        self.stats.writes += 1;
-        self.write_one(page);
-    }
-
-    /// Processes a batch of write accesses, equivalent to calling
-    /// [`Pril::on_write`] for each page in order. This is the streaming
-    /// front-door entry point: the write counter is bumped once and the
-    /// per-write path is a handful of word ops, so a drained ingestion
-    /// buffer costs a few ns per page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any page is out of range.
-    pub fn on_write_batch(&mut self, pages: &[PageId]) {
-        self.stats.writes += pages.len() as u64;
-        for &page in pages {
-            self.write_one(page);
-        }
-    }
-
-    fn encode_tracker(t: &QuantumTracker, e: &mut Enc) {
-        e.u64_slice(&t.map);
-        e.u64_slice(&t.buf);
-        e.u64(t.len as u64);
-        e.u64_slice(&t.order);
-    }
-
-    fn restore_tracker(t: &mut QuantumTracker, n_words: usize, d: &mut Dec) -> Result<(), String> {
-        let map = d.u64_vec()?;
-        let buf = d.u64_vec()?;
-        if map.len() != n_words || buf.len() != n_words {
+    fn restore_tracker(&self, d: &mut Dec) -> Result<QuantumTracker, String> {
+        let t = QuantumTracker::decode(d)?;
+        if t.map.len() != self.n_words || t.buf.len() != self.n_words {
             return Err(format!(
-                "pril: snapshot bitmap width {}/{} does not match configured {n_words}",
-                map.len(),
-                buf.len()
+                "pril: snapshot bitmap width {}/{} does not match configured {}",
+                t.map.len(),
+                t.buf.len(),
+                self.n_words
             ));
         }
-        t.map = map;
-        t.buf = buf;
-        t.len = usize::try_from(d.u64()?).map_err(|_| "pril: occupancy overflow".to_string())?;
-        t.order = d.u64_vec()?;
-        Ok(())
+        Ok(t)
     }
 
     /// Serializes the tracker's dynamic state (both quantum bitmaps, the
@@ -283,30 +267,17 @@ impl Pril {
     /// snapshot. Capacity, policy, and page count are configuration and
     /// travel with the engine's config section instead.
     pub(crate) fn encode_state(&self, e: &mut Enc) {
-        Self::encode_tracker(&self.current, e);
-        Self::encode_tracker(&self.previous, e);
-        e.u64(self.stats.writes);
-        e.u64(self.stats.inserted);
-        e.u64(self.stats.evicted_repeat);
-        e.u64(self.stats.evicted_previous);
-        e.u64(self.stats.overflowed);
-        e.u64(self.stats.candidates);
-        e.u64(self.stats.quanta);
+        self.current.encode(e);
+        self.previous.encode(e);
+        self.stats.encode(e);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state) into
     /// a tracker built with the same configuration.
     pub(crate) fn restore_state(&mut self, d: &mut Dec) -> Result<(), String> {
-        let n_words = self.n_words;
-        Self::restore_tracker(&mut self.current, n_words, d)?;
-        Self::restore_tracker(&mut self.previous, n_words, d)?;
-        self.stats.writes = d.u64()?;
-        self.stats.inserted = d.u64()?;
-        self.stats.evicted_repeat = d.u64()?;
-        self.stats.evicted_previous = d.u64()?;
-        self.stats.overflowed = d.u64()?;
-        self.stats.candidates = d.u64()?;
-        self.stats.quanta = d.u64()?;
+        self.current = self.restore_tracker(d)?;
+        self.previous = self.restore_tracker(d)?;
+        self.stats = PrilStats::decode(d)?;
         Ok(())
     }
 
@@ -693,27 +664,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn batch_rejects_out_of_range_page() {
-        pril().on_write_batch(&[1, 2, 5000]);
-    }
-
-    #[test]
-    fn batch_matches_per_write_loop() {
-        let mut a = pril();
-        let mut b = pril();
-        let pages = [1u64, 2, 3, 2, 1, 4, 1023, 4];
-        a.on_write_batch(&pages);
-        for &page in &pages {
-            b.on_write(page);
-        }
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.buffer_len(), b.buffer_len());
-        assert_eq!(a.end_quantum(), b.end_quantum());
-        assert_eq!(a.end_quantum(), b.end_quantum());
-    }
-
-    #[test]
     fn non_multiple_of_64_page_count_stays_in_bounds() {
         let mut p = Pril::new(100, 8);
         p.on_write(99);
@@ -813,11 +763,10 @@ mod tests {
                             assert_eq!(fast_c, slow_c, "candidate drain diverged");
                         }
                         1 => {
-                            let batch: Vec<PageId> = (0..rng.gen_range(0usize..20))
-                                .map(|_| rng.gen_range(0u64..n_pages))
-                                .collect();
-                            fast.on_write_batch(&batch);
-                            for &page in &batch {
+                            // A run of consecutive writes between checks.
+                            for _ in 0..rng.gen_range(0usize..20) {
+                                let page = rng.gen_range(0u64..n_pages);
+                                fast.on_write(page);
                                 slow.on_write(page);
                             }
                         }

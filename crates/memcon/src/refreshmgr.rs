@@ -27,16 +27,32 @@
 
 use crate::pril::PageId;
 use memutil::calq::CalendarQueue;
+use memutil::codec::{Codec, Dec, Enc};
 
 /// Refresh state of one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageState {
     /// Aggressively refreshed (every write lands a page here).
-    HiRef,
+    HiRef = 0,
     /// Under an in-flight content test (unrefreshed by design).
-    Testing,
+    Testing = 1,
     /// Passed a content test; refreshed at the low rate.
-    LoRef,
+    LoRef = 2,
+}
+
+/// One snapshot byte: the discriminant.
+impl Codec for PageState {
+    fn encode(&self, e: &mut Enc) {
+        e.u8(*self as u8);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, String> {
+        let tag = d.u8()?;
+        [PageState::HiRef, PageState::Testing, PageState::LoRef]
+            .into_iter()
+            .find(|s| *s as u8 == tag)
+            .ok_or_else(|| format!("unknown page state tag {tag}"))
+    }
 }
 
 /// Time-in-state accounting for all pages.
@@ -154,96 +170,59 @@ impl RefreshManager {
     /// time-in-state accumulators, and the discrete due-plane schedule) for
     /// a durability snapshot. Periods derive from `hi_ms`/`lo_ms`, which
     /// travel with the engine's config section.
-    pub(crate) fn encode_state(&self, e: &mut memutil::codec::Enc) {
-        let tags: Vec<u8> = self
-            .states
-            .iter()
-            .map(|s| match s {
-                PageState::HiRef => 0u8,
-                PageState::Testing => 1,
-                PageState::LoRef => 2,
-            })
-            .collect();
-        e.bytes(&tags);
-        e.u64_slice(&self.since_ns);
-        let pins: Vec<u8> = self.pinned.iter().map(|&p| u8::from(p)).collect();
-        e.bytes(&pins);
-        e.f64(self.hi_time_ns);
-        e.f64(self.testing_time_ns);
-        e.f64(self.lo_time_ns);
-        match self.finalized_at_ns {
-            Some(t) => {
-                e.bool(true);
-                e.u64(t);
-            }
-            None => e.bool(false),
+    pub(crate) fn encode_state(&self, e: &mut Enc) {
+        self.states.encode(e);
+        self.since_ns.encode(e);
+        self.pinned.encode(e);
+        self.hi_time_ns.encode(e);
+        self.testing_time_ns.encode(e);
+        self.lo_time_ns.encode(e);
+        self.finalized_at_ns.encode(e);
+        // Fixed-width planes: no count prefix.
+        for t in &self.transitions {
+            t.encode(e);
         }
-        for t in self.transitions {
-            e.u64(t);
-        }
-        e.u64(self.pins);
-        e.u64(self.pinned_n);
+        self.pins.encode(e);
+        self.pinned_n.encode(e);
         // Due plane: per-page next-refresh instant (absent while Testing).
-        for page in 0..self.states.len() as u64 {
-            match self.due.due_of(page) {
-                Some(t) => {
-                    e.bool(true);
-                    e.u64(t);
-                }
-                None => e.bool(false),
-            }
+        for page in 0..self.n_pages() {
+            self.due.due_of(page).encode(e);
         }
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state) into
     /// a manager built with the same page count and intervals.
-    pub(crate) fn restore_state(&mut self, d: &mut memutil::codec::Dec) -> Result<(), String> {
+    pub(crate) fn restore_state(&mut self, d: &mut Dec) -> Result<(), String> {
         let n = self.states.len();
-        let tags = d.bytes()?;
-        if tags.len() != n {
+        let states: Vec<PageState> = Codec::decode(d)?;
+        let since: Vec<u64> = Codec::decode(d)?;
+        let pinned: Vec<bool> = Codec::decode(d)?;
+        if states.len() != n || since.len() != n || pinned.len() != n {
             return Err(format!(
-                "refresh manager: snapshot covers {} pages, configured {n}",
-                tags.len()
+                "refresh manager: snapshot covers {}/{}/{} pages, configured {n}",
+                states.len(),
+                since.len(),
+                pinned.len()
             ));
         }
-        for (state, &tag) in self.states.iter_mut().zip(tags) {
-            *state = match tag {
-                0 => PageState::HiRef,
-                1 => PageState::Testing,
-                2 => PageState::LoRef,
-                other => return Err(format!("refresh manager: unknown bin tag {other}")),
-            };
-        }
-        let since = d.u64_vec()?;
-        if since.len() != n {
-            return Err("refresh manager: since-time vector length mismatch".to_string());
-        }
+        self.states = states;
         self.since_ns = since;
-        let pins = d.bytes()?;
-        if pins.len() != n {
-            return Err("refresh manager: pin vector length mismatch".to_string());
-        }
-        for (pinned, &raw) in self.pinned.iter_mut().zip(pins) {
-            *pinned = match raw {
-                0 => false,
-                1 => true,
-                other => return Err(format!("refresh manager: invalid pin byte {other}")),
-            };
-        }
-        self.hi_time_ns = d.f64()?;
-        self.testing_time_ns = d.f64()?;
-        self.lo_time_ns = d.f64()?;
-        self.finalized_at_ns = if d.bool()? { Some(d.u64()?) } else { None };
+        self.pinned = pinned;
+        self.hi_time_ns = Codec::decode(d)?;
+        self.testing_time_ns = Codec::decode(d)?;
+        self.lo_time_ns = Codec::decode(d)?;
+        self.finalized_at_ns = Codec::decode(d)?;
         for t in &mut self.transitions {
-            *t = d.u64()?;
+            *t = Codec::decode(d)?;
         }
-        self.pins = d.u64()?;
-        self.pinned_n = d.u64()?;
+        self.pins = Codec::decode(d)?;
+        self.pinned_n = Codec::decode(d)?;
         for page in 0..n as u64 {
-            if d.bool()? {
-                self.due.schedule(page, d.u64()?);
-            } else {
-                self.due.unschedule(page);
+            match Option::<u64>::decode(d)? {
+                Some(t) => self.due.schedule(page, t),
+                None => {
+                    self.due.unschedule(page);
+                }
             }
         }
         Ok(())

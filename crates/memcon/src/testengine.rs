@@ -18,7 +18,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
-use memutil::codec::{Dec, Enc};
+use memutil::codec::{Codec, Dec, Enc};
 use memutil::rng::SmallRng;
 use memutil::rng::{Rng, SeedableRng};
 
@@ -101,15 +101,11 @@ impl RateOracle {
     /// invalid rate or RNG state.
     pub fn from_persisted(blob: &[u8]) -> Result<Self, String> {
         let mut d = Dec::new(blob);
-        let rate = d.f64()?;
-        let state_vec = d.u64_vec()?;
+        let (rate, state): (f64, [u64; 4]) = Codec::decode(&mut d)?;
         d.finish("rate oracle state")?;
         if !(0.0..=1.0).contains(&rate) {
             return Err(format!("rate oracle: rate {rate} outside [0, 1]"));
         }
-        let state: [u64; 4] = state_vec
-            .try_into()
-            .map_err(|_| "rate oracle: rng state must be 4 words".to_string())?;
         let rng = SmallRng::from_state(state)?;
         Ok(RateOracle { rate, rng })
     }
@@ -122,8 +118,7 @@ impl FailureOracle for RateOracle {
 
     fn persist_state(&self) -> Option<Vec<u8>> {
         let mut e = Enc::with_capacity(48);
-        e.f64(self.rate);
-        e.u64_slice(&self.rng.state());
+        (self.rate, self.rng.state()).encode(&mut e);
         Some(e.into_bytes())
     }
 }
@@ -137,6 +132,8 @@ pub struct MemoStats {
     /// Verdicts that ran the full failure-model evaluation.
     pub misses: u64,
 }
+
+memutil::codec_struct!(MemoStats { hits, misses });
 
 /// Physics-backed oracle: regenerates the page's content inside a simulated
 /// chip and runs the coupling failure model at the LO-REF interval.
@@ -409,6 +406,17 @@ pub struct TestEngineStats {
     pub ecc_uncorrectable: u64,
 }
 
+memutil::codec_struct!(TestEngineStats {
+    started,
+    completed,
+    failed,
+    aborted,
+    rejected,
+    ambiguous,
+    ecc_corrected,
+    ecc_uncorrectable,
+});
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct InFlight {
     end_ns: u64,
@@ -416,6 +424,13 @@ struct InFlight {
     start_ns: u64,
     generation: u64,
 }
+
+memutil::codec_struct!(InFlight {
+    end_ns,
+    page,
+    start_ns,
+    generation
+});
 
 impl Ord for InFlight {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
@@ -550,13 +565,7 @@ impl TestEngine {
         // entries are included because lazy discard still pops them.
         let mut flights: Vec<InFlight> = self.in_flight.iter().copied().collect();
         flights.sort_unstable_by_key(|f| (f.end_ns, f.page, f.start_ns, f.generation));
-        e.u64(flights.len() as u64);
-        for f in &flights {
-            e.u64(f.end_ns);
-            e.u64(f.page);
-            e.u64(f.start_ns);
-            e.u64(f.generation);
-        }
+        flights.encode(e);
         let mut live: Vec<(PageId, u64)> = self
             // memlint: allow(map-iter-order): sorted below
             .in_flight_pages
@@ -564,15 +573,11 @@ impl TestEngine {
             .map(|(&p, &g)| (p, g))
             .collect();
         live.sort_unstable();
-        e.u64(live.len() as u64);
-        for (p, g) in live {
-            e.u64(p);
-            e.u64(g);
-        }
+        live.encode(e);
         // Staging: redirect map sorted by page; the free list travels
         // verbatim because its LIFO order is observable through future
         // slot assignments.
-        e.u64(self.staging.capacity as u64);
+        self.staging.capacity.encode(e);
         let mut redirect: Vec<(PageId, usize)> = self
             .staging
             // memlint: allow(map-iter-order): sorted below
@@ -581,80 +586,36 @@ impl TestEngine {
             .map(|(&p, &s)| (p, s))
             .collect();
         redirect.sort_unstable();
-        e.u64(redirect.len() as u64);
-        // memlint: allow(map-iter-order): iterating the sorted Vec, not the map
-        for (p, s) in redirect {
-            e.u64(p);
-            e.u64(s as u64);
-        }
-        let free: Vec<u64> = self.staging.free.iter().map(|&s| s as u64).collect();
-        e.u64_slice(&free);
-        e.u64(self.staging.peak_used as u64);
-        e.u64(self.stats.started);
-        e.u64(self.stats.completed);
-        e.u64(self.stats.failed);
-        e.u64(self.stats.aborted);
-        e.u64(self.stats.rejected);
-        e.u64(self.stats.ambiguous);
-        e.u64(self.stats.ecc_corrected);
-        e.u64(self.stats.ecc_uncorrectable);
+        redirect.encode(e);
+        self.staging.free.encode(e);
+        self.staging.peak_used.encode(e);
+        self.stats.encode(e);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state) into
     /// an engine built with the same configuration.
     pub(crate) fn restore_state(&mut self, d: &mut Dec) -> Result<(), String> {
-        let n = d.u64()?;
         self.in_flight.clear();
-        for _ in 0..n {
-            let end_ns = d.u64()?;
-            let page = d.u64()?;
-            let start_ns = d.u64()?;
-            let generation = d.u64()?;
-            self.in_flight.push(InFlight {
-                end_ns,
-                page,
-                start_ns,
-                generation,
-            });
+        for f in Vec::<InFlight>::decode(d)? {
+            self.in_flight.push(f);
         }
-        let n = d.u64()?;
         self.in_flight_pages.clear();
-        for _ in 0..n {
-            let page = d.u64()?;
-            let generation = d.u64()?;
-            self.in_flight_pages.insert(page, generation);
-        }
-        let capacity =
-            usize::try_from(d.u64()?).map_err(|_| "test engine: capacity overflow".to_string())?;
+        self.in_flight_pages
+            .extend(Vec::<(PageId, u64)>::decode(d)?);
+        let capacity = usize::decode(d)?;
         if capacity != self.staging.capacity {
             return Err(format!(
                 "test engine: snapshot staging capacity {capacity} does not match configured {}",
                 self.staging.capacity
             ));
         }
-        let n = d.u64()?;
         self.staging.redirect.clear();
-        for _ in 0..n {
-            let page = d.u64()?;
-            let slot = usize::try_from(d.u64()?)
-                .map_err(|_| "test engine: staging slot overflow".to_string())?;
-            self.staging.redirect.insert(page, slot);
-        }
-        self.staging.free = d
-            .u64_vec()?
-            .into_iter()
-            .map(|s| usize::try_from(s).map_err(|_| "test engine: free slot overflow".to_string()))
-            .collect::<Result<Vec<usize>, String>>()?;
-        self.staging.peak_used = usize::try_from(d.u64()?)
-            .map_err(|_| "test engine: peak occupancy overflow".to_string())?;
-        self.stats.started = d.u64()?;
-        self.stats.completed = d.u64()?;
-        self.stats.failed = d.u64()?;
-        self.stats.aborted = d.u64()?;
-        self.stats.rejected = d.u64()?;
-        self.stats.ambiguous = d.u64()?;
-        self.stats.ecc_corrected = d.u64()?;
-        self.stats.ecc_uncorrectable = d.u64()?;
+        self.staging
+            .redirect
+            .extend(Vec::<(PageId, usize)>::decode(d)?);
+        self.staging.free = Codec::decode(d)?;
+        self.staging.peak_used = Codec::decode(d)?;
+        self.stats = Codec::decode(d)?;
         Ok(())
     }
 

@@ -4,6 +4,13 @@
 //! integers (floats travel as IEEE-754 bit patterns). Keeping the codec here,
 //! below every other crate, lets `memcon` encode its own state without the
 //! store crate needing to know engine internals.
+//!
+//! Snapshot-carried types implement [`Codec`] next to their definition, so
+//! each layout is written once and read back by the same definition; plain
+//! structs get both directions from one field list via
+//! [`codec_struct!`](crate::codec_struct).
+//! Sequences (`Vec<T>`, `[T; N]`) travel as a `u64` element count followed
+//! by the elements; `Option<T>` as a presence bool followed by the value.
 
 /// Append-only encoder producing a flat little-endian byte stream.
 #[derive(Debug, Default)]
@@ -60,32 +67,9 @@ impl Enc {
         self.bytes(v.as_bytes());
     }
 
-    /// Length-prefixed slice of u64 values.
-    pub fn u64_slice(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for x in v {
-            self.u64(*x);
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consume the encoder and return the byte stream.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Borrow the bytes written so far.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
     }
 }
 
@@ -106,16 +90,6 @@ impl<'a> Dec<'a> {
     /// Bytes left to read.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// True when the cursor has consumed the whole slice.
-    pub fn is_done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Current cursor offset.
-    pub fn pos(&self) -> usize {
-        self.pos
     }
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
@@ -179,26 +153,9 @@ impl<'a> Dec<'a> {
         String::from_utf8(raw.to_vec()).map_err(|_| "codec: invalid utf-8 string".to_string())
     }
 
-    /// Read a length-prefixed `u64` slice.
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, String> {
-        let len = self.u64()?;
-        let len = usize::try_from(len).map_err(|_| "codec: slice length overflow".to_string())?;
-        if self.remaining() < len.saturating_mul(8) {
-            return Err(format!(
-                "codec: truncated u64 slice: claimed {len} entries, {} bytes remain",
-                self.remaining()
-            ));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
     /// Assert the stream is fully consumed (catches layout drift).
     pub fn finish(self, what: &str) -> Result<(), String> {
-        if self.is_done() {
+        if self.remaining() == 0 {
             Ok(())
         } else {
             Err(format!(
@@ -207,6 +164,138 @@ impl<'a> Dec<'a> {
             ))
         }
     }
+}
+
+/// A type with one binary layout: `decode` reads back exactly what
+/// `encode` wrote, or returns a description of why it cannot.
+pub trait Codec: Sized {
+    /// Append `self` to `e`.
+    fn encode(&self, e: &mut Enc);
+
+    /// Read one value from `d`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the input is truncated or malformed.
+    fn decode(d: &mut Dec<'_>) -> Result<Self, String>;
+}
+
+macro_rules! primitive_codec {
+    ($($ty:ident),+) => {
+        $(impl Codec for $ty {
+            fn encode(&self, e: &mut Enc) {
+                e.$ty(*self);
+            }
+
+            fn decode(d: &mut Dec<'_>) -> Result<Self, String> {
+                d.$ty()
+            }
+        })+
+    };
+}
+
+primitive_codec!(u8, u32, u64, f64, bool);
+
+/// `usize` travels as a `u64`; a value the host cannot address is an error.
+impl Codec for usize {
+    fn encode(&self, e: &mut Enc) {
+        e.u64(*self as u64);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, String> {
+        let v = d.u64()?;
+        usize::try_from(v).map_err(|_| format!("codec: {v} exceeds the address space"))
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self, e: &mut Enc) {
+        e.bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(e);
+        }
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, String> {
+        Ok(if d.bool()? { Some(T::decode(d)?) } else { None })
+    }
+}
+
+fn encode_seq<T: Codec>(items: &[T], e: &mut Enc) {
+    e.u64(items.len() as u64);
+    for v in items {
+        v.encode(e);
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, e: &mut Enc) {
+        encode_seq(self, e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, String> {
+        let len = usize::decode(d)?;
+        // Every element takes at least one byte: refuse a corrupt count
+        // before allocating for it.
+        if len > d.remaining() {
+            return Err(format!(
+                "codec: truncated sequence: claimed {len} entries, {} bytes remain",
+                d.remaining()
+            ));
+        }
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(T::decode(d)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Same layout as `Vec<T>`; decoding rejects any count other than `N`.
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    fn encode(&self, e: &mut Enc) {
+        encode_seq(self, e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, String> {
+        let v = Vec::<T>::decode(d)?;
+        let len = v.len();
+        v.try_into()
+            .map_err(|_| format!("codec: expected {N} entries, found {len}"))
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn encode(&self, e: &mut Enc) {
+        self.0.encode(e);
+        self.1.encode(e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, String> {
+        Ok((A::decode(d)?, B::decode(d)?))
+    }
+}
+
+/// Implements [`Codec`] for a plain struct from a single field list: the
+/// fields travel in the listed order, and the list must name every field
+/// (the struct literal built by `decode` refuses to compile otherwise).
+#[macro_export]
+macro_rules! codec_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::codec::Codec for $ty {
+            fn encode(&self, e: &mut $crate::codec::Enc) {
+                $($crate::codec::Codec::encode(&self.$field, e);)+
+            }
+
+            fn decode(
+                d: &mut $crate::codec::Dec<'_>,
+            ) -> ::std::result::Result<Self, ::std::string::String> {
+                ::std::result::Result::Ok($ty {
+                    $($field: $crate::codec::Codec::decode(d)?,)+
+                })
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -224,7 +313,6 @@ mod tests {
         e.f64(-0.125);
         e.bytes(b"hello");
         e.str("memcon");
-        e.u64_slice(&[1, 2, 3]);
         let bytes = e.into_bytes();
 
         let mut d = Dec::new(&bytes);
@@ -236,7 +324,6 @@ mod tests {
         assert_eq!(d.f64().unwrap(), -0.125);
         assert_eq!(d.bytes().unwrap(), b"hello");
         assert_eq!(d.str().unwrap(), "memcon");
-        assert_eq!(d.u64_vec().unwrap(), vec![1, 2, 3]);
         d.finish("round trip").unwrap();
     }
 
@@ -268,5 +355,69 @@ mod tests {
         let mut d = Dec::new(&b);
         d.u64().unwrap();
         assert!(d.finish("partial").is_err());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Sample {
+        a: u64,
+        b: Option<u32>,
+        c: Vec<(u64, usize)>,
+        d: [bool; 2],
+        e: f64,
+    }
+
+    crate::codec_struct!(Sample { a, b, c, d, e });
+
+    fn encoded<T: Codec>(v: &T) -> Vec<u8> {
+        let mut e = Enc::new();
+        v.encode(&mut e);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn codec_round_trips_composites_in_field_order() {
+        let s = Sample {
+            a: 7,
+            b: Some(9),
+            c: vec![(1, 2), (3, 4)],
+            d: [true, false],
+            e: -1.5,
+        };
+        let bytes = encoded(&s);
+        // a, presence + b, count + pairs, count + bools, e.
+        assert_eq!(bytes.len(), 8 + (1 + 4) + (8 + 2 * 16) + (8 + 2) + 8);
+        let mut d = Dec::new(&bytes);
+        assert_eq!(Sample::decode(&mut d).unwrap(), s);
+        d.finish("sample").unwrap();
+    }
+
+    #[test]
+    fn sequences_are_count_prefixed_like_the_primitive_writers() {
+        let mut e = Enc::new();
+        e.u64(2);
+        e.u64(10);
+        e.u64(11);
+        assert_eq!(encoded(&vec![10u64, 11]), e.into_bytes());
+        assert_eq!(encoded(&[10u64, 11]), encoded(&vec![10u64, 11]));
+        let mut e = Enc::new();
+        e.bytes(&[0, 1, 1]);
+        assert_eq!(encoded(&vec![false, true, true]), e.into_bytes());
+    }
+
+    #[test]
+    fn sequence_decode_rejects_bad_counts() {
+        // A claimed count beyond the remaining bytes is refused up front.
+        let mut e = Enc::new();
+        e.u64(u64::MAX / 2);
+        e.u8(1);
+        let b = e.into_bytes();
+        let err = Vec::<u8>::decode(&mut Dec::new(&b)).unwrap_err();
+        assert!(err.contains("claimed"), "{err}");
+        // Arrays insist on their exact length.
+        let b = encoded(&vec![1u64, 2, 3]);
+        assert!(<[u64; 2]>::decode(&mut Dec::new(&b)).is_err());
+        assert_eq!(<[u64; 3]>::decode(&mut Dec::new(&b)).unwrap(), [1, 2, 3]);
+        // Option's presence byte is a strict bool.
+        assert!(Option::<u8>::decode(&mut Dec::new(&[2, 0])).is_err());
     }
 }

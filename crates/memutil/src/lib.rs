@@ -21,7 +21,8 @@
 //!   linear-scan slow reference) backing the refresh due-page plane in
 //!   `memcon`,
 //! * [`codec`] — a little-endian binary encoder/decoder used by the durable
-//!   state store (`crates/store`) and the engine snapshot serializers.
+//!   state store (`crates/store`), plus the [`codec::Codec`] trait each
+//!   snapshot-carried type implements beside its definition.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -496,6 +496,13 @@ impl Store {
         Ok(())
     }
 
+    /// Newest in-memory snapshot image (only populated in `InMemory` mode),
+    /// as [`snapshot::decode`] reads it.
+    #[must_use]
+    pub fn mem_snapshot(&self) -> Option<&[u8]> {
+        self.mem_snaps.values().next_back().map(Vec::as_slice)
+    }
+
     /// In-memory segment images (only populated in `InMemory` mode) —
     /// lets tests and benches run the scan without touching disk.
     #[must_use]
@@ -611,11 +618,21 @@ mod tests {
                 s.append(&r).unwrap();
             }
             s.publish_snapshot(b"strict-state").unwrap();
-            s.append(&Record::RunFinished { at_ns: 9 }).unwrap();
+            s.append(&Record::Progress {
+                quantum: 9,
+                now_ns: 9,
+            })
+            .unwrap();
         }
         let (_, rec) = Store::open(&dir, DurabilityMode::Strict, None).unwrap();
         assert_eq!(rec.snapshot.unwrap().payload, b"strict-state");
-        assert_eq!(rec.tail, vec![Record::RunFinished { at_ns: 9 }]);
+        assert_eq!(
+            rec.tail,
+            vec![Record::Progress {
+                quantum: 9,
+                now_ns: 9
+            }]
+        );
         cleanup(&dir);
     }
 
@@ -750,12 +767,22 @@ mod tests {
             s.append(&r).unwrap();
         }
         s.publish_snapshot(b"ram-only").unwrap();
-        s.append(&Record::RunFinished { at_ns: 1 }).unwrap();
+        s.append(&Record::Progress {
+            quantum: 1,
+            now_ns: 1,
+        })
+        .unwrap();
         assert!(!dir.exists(), "no directory was created");
         assert!(s.mem_segment(0).is_none(), "rotation pruned segment 0");
         let tail = s.mem_segment(1).expect("post-snapshot segment");
         let scan = wal::scan_bytes(tail);
-        assert_eq!(scan.records, vec![Record::RunFinished { at_ns: 1 }]);
+        assert_eq!(
+            scan.records,
+            vec![Record::Progress {
+                quantum: 1,
+                now_ns: 1
+            }]
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! little-endian fields via [`memutil::codec`]). Recovery state travels
 //! in snapshots and is rebuilt past them by deterministic re-execution of
 //! the same trace, so the WAL journals only what locates a run in time:
-//! its begin and finish, one progress marker per quantum (fleet stores:
-//! per epoch), and each recovery. The records between snapshot points
+//! its begin, one progress marker per quantum (fleet stores: per epoch),
+//! and each recovery. The records between snapshot points
 //! form an integrity-checked tail that recovery scans, counts and
 //! truncates at the first torn or corrupt frame.
 
@@ -35,11 +35,6 @@ pub enum Record {
         /// Epoch index just completed.
         epoch: u64,
     },
-    /// The run finished cleanly.
-    RunFinished {
-        /// Final trace time in nanoseconds.
-        at_ns: u64,
-    },
     /// A recovery scanned this store (journaled *after* recovery, in the
     /// fresh post-recovery segment).
     RecoveryEvent {
@@ -50,13 +45,13 @@ pub enum Record {
     },
 }
 
-// Tags 1-7 framed per-transition records and are retired; never reuse
-// them, so an old segment holding one scans as a corrupt tail (truncated
-// at recovery) instead of decoding as a different record.
+// Tags 1-7 framed per-transition records and tag 10 a run-finished
+// marker; all are retired. Never reuse them, so an old segment holding one
+// scans as a corrupt tail (truncated at recovery) instead of decoding as a
+// different record.
 const TAG_RUN_BEGIN: u8 = 0;
 const TAG_PROGRESS: u8 = 8;
 const TAG_EPOCH_SAMPLE: u8 = 9;
-const TAG_RUN_FINISHED: u8 = 10;
 const TAG_RECOVERY_EVENT: u8 = 11;
 
 impl Record {
@@ -83,10 +78,6 @@ impl Record {
             Record::EpochSample { epoch } => {
                 e.u8(TAG_EPOCH_SAMPLE);
                 e.u64(epoch);
-            }
-            Record::RunFinished { at_ns } => {
-                e.u8(TAG_RUN_FINISHED);
-                e.u64(at_ns);
             }
             Record::RecoveryEvent {
                 replayed_records,
@@ -120,7 +111,6 @@ impl Record {
                 now_ns: d.u64()?,
             },
             TAG_EPOCH_SAMPLE => Record::EpochSample { epoch: d.u64()? },
-            TAG_RUN_FINISHED => Record::RunFinished { at_ns: d.u64()? },
             TAG_RECOVERY_EVENT => Record::RecoveryEvent {
                 replayed_records: d.u64()?,
                 truncated_bytes: d.u64()?,
@@ -148,7 +138,6 @@ mod tests {
                 now_ns: 999,
             },
             Record::EpochSample { epoch: 6 },
-            Record::RunFinished { at_ns: 777 },
             Record::RecoveryEvent {
                 replayed_records: 12,
                 truncated_bytes: 34,
@@ -167,7 +156,7 @@ mod tests {
     #[test]
     fn decode_rejects_unknown_tags_truncation_and_trailing_bytes() {
         assert!(Record::decode(&[200]).is_err(), "unknown tag");
-        for retired in 1..=7u8 {
+        for retired in (1..=7u8).chain([10]) {
             assert!(
                 Record::decode(&[retired, 0]).is_err(),
                 "retired tag {retired}"

@@ -1,4 +1,4 @@
-//! Deterministic telemetry: counters, histograms, span timers, and a
+//! Deterministic telemetry: counters, histograms, causal span trees, and a
 //! bounded event trace, exported as structured JSON.
 //!
 //! The subsystem exists to answer "why was this sweep slow / this
@@ -24,7 +24,7 @@
 //! (restored when the returned guard drops) so tests and the experiments
 //! CLI can collect into a private registry without touching global state
 //! left behind by other code. Instrumentation sites use either the free
-//! helpers ([`count`], [`observe`], [`span`], [`trace_event`]) or bind
+//! helpers ([`count`], [`observe`], [`tree_span`], [`trace_event`]) or bind
 //! `Arc` metric handles once and update them directly on hot-ish paths.
 //!
 //! # Cost when disabled
@@ -65,7 +65,7 @@ mod trace;
 mod trees;
 
 pub use health::{flight_record, HealthMonitor, FLIGHTREC_SCHEMA};
-pub use metrics::{Counter, Histogram, Span, SpanGuard};
+pub use metrics::{Counter, Histogram};
 pub use registry::{current, global, install, Registry, ScopeGuard};
 pub use scrape::{respond, ScrapeServer};
 pub use timeseries::{SamplePoint, TIMESERIES_SCHEMA};
@@ -162,19 +162,6 @@ pub fn time_ns<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, start.elapsed().as_nanos() as u64)
 }
 
-/// Starts a wall-clock span on the current registry; the elapsed time is
-/// recorded (as [`Class::Timing`] data) when the returned guard drops.
-/// Returns an inert guard when telemetry is disabled.
-#[must_use]
-pub fn span(name: &str) -> SpanGuard {
-    let r = registry::current();
-    if r.is_enabled() {
-        r.span(name).start()
-    } else {
-        SpanGuard::disabled()
-    }
-}
-
 /// Appends an event to the current registry's bounded trace ring
 /// ([`Class::Timing`] data). No-op when telemetry is disabled.
 pub fn trace_event(label: &str, value: u64) {
@@ -230,7 +217,7 @@ mod tests {
         count("t.free.counter", 5);
         observe("t.free.hist", &[1, 2], 1);
         trace_event("t.free.event", 1);
-        drop(span("t.free.span"));
+        drop(tree_span("t.free.span"));
         let report = r.report();
         let det = report.get("deterministic").expect("section");
         assert_eq!(det.get("counters"), Some(&memutil::json::Json::obj()));
@@ -259,18 +246,5 @@ mod tests {
             1
         );
         assert_eq!(r.trace().snapshot().len(), 1);
-    }
-
-    #[test]
-    fn spans_accumulate_wall_clock_time() {
-        let _serial = registry::install_lock();
-        let r = Arc::new(Registry::new());
-        r.set_enabled(true);
-        let _scope = install(Arc::clone(&r));
-        for _ in 0..3 {
-            let _g = span("t.free.span");
-        }
-        let s = r.span("t.free.span");
-        assert_eq!(s.count(), 3);
     }
 }
