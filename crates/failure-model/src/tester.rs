@@ -11,8 +11,6 @@
 //! the internal scrambling/remapping/polarity stay hidden inside the module
 //! and the failure physics.
 
-use std::sync::{Mutex, PoisonError};
-
 use dram::address::RowAddr;
 use dram::cell::RowContent;
 use dram::module::DramModule;
@@ -130,12 +128,6 @@ impl ChipTester {
         &self.model
     }
 
-    /// Consumes the tester, returning the module in its current state.
-    #[must_use]
-    pub fn into_module(self) -> DramModule {
-        self.module
-    }
-
     fn snapshot(&mut self) {
         for (id, slot) in self.golden.iter_mut().enumerate() {
             slot.clone_from(self.module.read_row_id(id as u64));
@@ -226,32 +218,24 @@ impl ChipTester {
     /// lets one tester run many tests, like the real instrument testing one
     /// chip pattern after pattern. The items split into one contiguous
     /// block per worker and each block runs on a single tester: `self` for
-    /// the last block, one clone for each other block. At an effective
-    /// worker count of 1 (`jobs = 1`, one item, or a call from inside a
-    /// [`memutil::par`] worker) the whole sweep runs on `self` and nothing
-    /// is cloned. Either way the results are bit-identical at any worker
-    /// count and `self` is left in the last test's post-test state.
+    /// the last block, one clone for each other block, each handed to its
+    /// worker by [`memutil::par::ordered_map_mut`]. At an effective worker
+    /// count of 1 (`jobs = 1`, one item, or a call from inside a
+    /// [`memutil::par`] worker — see [`memutil::par::effective_workers`])
+    /// the whole sweep is one block on `self` and nothing is cloned. Either
+    /// way the results are bit-identical at any worker count and `self` is
+    /// left in the last test's post-test state.
     pub fn sweep<T, F>(&mut self, items: usize, run: F) -> Vec<T>
     where
         T: Send,
         F: Fn(&mut ChipTester, usize) -> T + Sync,
     {
-        let jobs = if self.jobs == 0 {
-            memutil::par::jobs()
-        } else {
-            self.jobs
-        };
-        let workers = jobs.min(items);
-        if workers <= 1 || memutil::par::in_worker() {
-            return (0..items).map(|i| run(self, i)).collect();
-        }
+        let workers = memutil::par::effective_workers(self.jobs, items);
         let mut clones: Vec<ChipTester> = (1..workers).map(|_| self.clone()).collect();
-        let testers: Vec<Mutex<&mut ChipTester>> =
-            clones.iter_mut().chain([self]).map(Mutex::new).collect();
-        let blocks = memutil::par::ordered_map_with(workers, workers, |w| {
-            let mut tester = testers[w].lock().unwrap_or_else(PoisonError::into_inner);
+        let mut testers: Vec<&mut ChipTester> = clones.iter_mut().chain([self]).collect();
+        let blocks = memutil::par::ordered_map_mut(workers, &mut testers, |w, tester| {
             (w * items / workers..(w + 1) * items / workers)
-                .map(|i| run(&mut tester, i))
+                .map(|i| run(tester, i))
                 .collect::<Vec<T>>()
         });
         blocks.into_iter().flatten().collect()

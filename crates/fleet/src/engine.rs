@@ -6,11 +6,6 @@
 //! boundary — `epoch × epoch_quanta × quantum` on the shared fleet clock —
 //! fanning the per-shard work across the [`memutil::par`] pool, then
 //! applies cross-shard bookkeeping in deterministic shard order.
-//!
-//! Shards live behind per-shard mutexes so the pool's `Fn` closures can
-//! step them; `ordered_map_with` hands each index to exactly one worker
-//! per epoch, so the locks are uncontended — they exist to satisfy the
-//! shared-reference contract, not to serialize.
 
 use std::sync::{Arc, Mutex};
 
@@ -47,7 +42,7 @@ struct Shard {
 /// A running fleet: per-shard engines plus the epoch clock.
 #[derive(Debug)]
 pub struct Fleet {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Shard>,
     /// Epochs completed so far.
     epoch: u64,
     /// Fleet-clock nanoseconds per epoch.
@@ -85,20 +80,22 @@ impl Fleet {
     #[must_use]
     pub fn new(plan: &FleetPlan) -> Fleet {
         let config = &plan.config;
-        let quantum_ns = (config.engine.quantum_ms * 1e6) as u64;
-        let templates = ContentTemplates::build(plan);
-        let shards: Vec<Mutex<Shard>> = plan
+        let oracles: Vec<Box<dyn FailureOracle>> = match config.oracle {
+            FleetOracle::Rate { fail_rate } => (plan.shards.iter())
+                .map(|spec| Box::new(RateOracle::new(fail_rate, spec.chip_seed)) as _)
+                .collect(),
+            FleetOracle::Content { rows_per_bank } => {
+                let templates = ContentTemplates::build(plan, rows_per_bank);
+                (plan.shards.iter())
+                    .map(|spec| Box::new(templates.oracle(spec, config.engine.lo_ms)) as _)
+                    .collect()
+            }
+        };
+        let engines: Vec<(MemconEngine, LiveStats)> = plan
             .shards
             .iter()
-            .map(|spec| {
-                let oracle: Box<dyn FailureOracle> = match config.oracle {
-                    FleetOracle::Rate { fail_rate } => {
-                        Box::new(RateOracle::new(fail_rate, spec.chip_seed))
-                    }
-                    FleetOracle::Content { .. } => {
-                        Box::new(templates.oracle(spec, config.engine.lo_ms))
-                    }
-                };
+            .zip(oracles)
+            .map(|(spec, oracle)| {
                 let mut engine =
                     MemconEngine::with_oracle(config.engine, spec.trace.n_pages(), oracle);
                 engine.set_fault_plan(spec.fault_plan.clone());
@@ -115,14 +112,7 @@ impl Fleet {
                         .expect("rate oracles always persist (validate() rejects content+store)");
                 }
                 engine.begin_run(&spec.trace);
-                Mutex::new(Shard {
-                    spec: spec.clone(),
-                    engine,
-                    report: None,
-                    done_epoch: None,
-                    step_latency_ns: Vec::new(),
-                    last_live: LiveStats::default(),
-                })
+                (engine, LiveStats::default())
             })
             .collect();
         let meta = config.store_dir.as_ref().map(|base| {
@@ -134,31 +124,14 @@ impl Fleet {
             let anchor = FleetMeta {
                 epoch: 0,
                 entries: Vec::new(),
-                last_live: vec![LiveStats::default(); shards.len()],
+                last_live: vec![LiveStats::default(); engines.len()],
             };
             meta.publish_snapshot(&anchor.encode())
                 // memlint: allow(no-unwrap): a store that cannot take its first snapshot is unusable — die loudly
                 .expect("anchor meta snapshot must publish");
             meta
         });
-        let horizon_ns = plan
-            .shards
-            .iter()
-            .map(|s| s.trace.duration_ns())
-            .max()
-            .unwrap_or(0);
-        Fleet {
-            shards,
-            epoch: 0,
-            epoch_ns: quantum_ns.saturating_mul(config.epoch_quanta).max(1),
-            horizon_ns,
-            seed: config.seed,
-            epoch_quanta: config.epoch_quanta,
-            health: None,
-            meta,
-            meta_error: None,
-            epoch_log: Vec::new(),
-        }
+        Fleet::assemble(plan, engines, 0, meta, Vec::new())
     }
 
     /// Recovers a durable fleet from `plan.config.store_dir` at its last
@@ -188,7 +161,6 @@ impl Fleet {
                 "fleet config names no durable store directory".to_string(),
             ));
         };
-        let quantum_ns = (config.engine.quantum_ms * 1e6) as u64;
         let (meta_store, meta_rec) =
             Store::open(&durable::meta_dir(base), config.durability, None)?;
         let snap = meta_rec.snapshot.as_ref().ok_or_else(|| {
@@ -223,7 +195,7 @@ impl Fleet {
             stale_segments: meta_rec.stale_segments,
             ..FleetRecovery::default()
         };
-        let mut shards = Vec::with_capacity(plan.shards.len());
+        let mut engines = Vec::with_capacity(plan.shards.len());
         for (i, result) in recovered.into_iter().enumerate() {
             let (engine, rec) = result?;
             if !engine.mid_run() {
@@ -236,34 +208,55 @@ impl Fleet {
             totals.truncated_bytes += rec.truncated_bytes;
             totals.snapshots_skipped += rec.snapshots_skipped;
             totals.stale_segments += rec.stale_segments;
-            shards.push(Mutex::new(Shard {
-                spec: plan.shards[i].clone(),
+            engines.push((engine, meta.last_live[i]));
+        }
+        let fleet = Fleet::assemble(plan, engines, meta.epoch, Some(meta_store), meta.entries);
+        Ok((fleet, totals))
+    }
+
+    /// The one place a [`Fleet`] is put together, for both [`Fleet::new`]
+    /// and [`Fleet::recover`]: pairs every plan shard with its engine and
+    /// its live-stats snapshot at the previous barrier, and starts the
+    /// epoch clock at `epoch`.
+    fn assemble(
+        plan: &FleetPlan,
+        engines: Vec<(MemconEngine, LiveStats)>,
+        epoch: u64,
+        meta: Option<Store>,
+        epoch_log: Vec<EpochEntry>,
+    ) -> Fleet {
+        let config = &plan.config;
+        let quantum_ns = (config.engine.quantum_ms * 1e6) as u64;
+        let shards = plan
+            .shards
+            .iter()
+            .zip(engines)
+            .map(|(spec, (engine, last_live))| Shard {
+                spec: spec.clone(),
                 engine,
                 report: None,
                 done_epoch: None,
                 step_latency_ns: Vec::new(),
-                last_live: meta.last_live[i],
-            }));
-        }
-        let horizon_ns = plan
-            .shards
-            .iter()
-            .map(|s| s.trace.duration_ns())
-            .max()
-            .unwrap_or(0);
-        let fleet = Fleet {
+                last_live,
+            })
+            .collect();
+        Fleet {
             shards,
-            epoch: meta.epoch,
+            epoch,
             epoch_ns: quantum_ns.saturating_mul(config.epoch_quanta).max(1),
-            horizon_ns,
+            horizon_ns: plan
+                .shards
+                .iter()
+                .map(|s| s.trace.duration_ns())
+                .max()
+                .unwrap_or(0),
             seed: config.seed,
             epoch_quanta: config.epoch_quanta,
             health: None,
-            meta: Some(meta_store),
+            meta,
             meta_error: None,
-            epoch_log: meta.entries,
-        };
-        Ok((fleet, totals))
+            epoch_log,
+        }
     }
 
     /// The first meta-store failure of this fleet's lifetime, if any.
@@ -277,24 +270,6 @@ impl Fleet {
     /// endpoint should serve `HEALTH` concurrently.
     pub fn set_health_monitor(&mut self, monitor: Arc<Mutex<telemetry::HealthMonitor>>) {
         self.health = Some(monitor);
-    }
-
-    /// The armed SLO monitor, if any.
-    #[must_use]
-    pub fn health_monitor(&self) -> Option<&Arc<Mutex<telemetry::HealthMonitor>>> {
-        self.health.as_ref()
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the fleet has no shards (never true for expanded plans).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
     }
 
     /// Epochs completed so far.
@@ -315,10 +290,6 @@ impl Fleet {
     ///
     /// Shard advancement commutes (disjoint state; telemetry adds are
     /// atomic), so results are byte-identical at any `jobs` value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard engine panics (poisoned shard lock).
     pub fn run_epoch(&mut self, jobs: usize) -> bool {
         if self.is_done() {
             return false;
@@ -327,11 +298,9 @@ impl Fleet {
         let _epoch_span = telemetry::tree_span("fleet.epoch");
         telemetry::annotate("epoch", self.epoch);
         let limit = self.epoch.saturating_mul(self.epoch_ns);
-        let finished: Vec<bool> = par::ordered_map_with(jobs, self.shards.len(), |i| {
-            let mut shard = self.shards[i].lock().expect("shard engine panicked");
-            let shard = &mut *shard;
+        let _ = par::ordered_map_mut(jobs, &mut self.shards, |i, shard| {
             if shard.report.is_some() {
-                return true;
+                return;
             }
             // Nested under `fleet.epoch` at jobs=1 (same thread); a root
             // span on pool workers — tree shape is timing-class data.
@@ -341,6 +310,7 @@ impl Fleet {
                 shard.engine.advance_until(&shard.spec.trace, limit);
                 if limit >= shard.spec.trace.duration_ns() {
                     shard.report = Some(shard.engine.finish_run());
+                    shard.done_epoch = Some(self.epoch);
                 }
             });
             shard.step_latency_ns.push(elapsed_ns);
@@ -349,18 +319,7 @@ impl Fleet {
                 &STEP_LATENCY_EDGES_US,
                 elapsed_ns / 1_000,
             );
-            shard.report.is_some()
         });
-        // Cross-shard work, deterministically in shard order: stamp the
-        // completion epoch of every shard that finished this batch.
-        for (i, done) in finished.iter().enumerate() {
-            if *done {
-                let mut shard = self.shards[i].lock().expect("shard engine panicked");
-                if shard.done_epoch.is_none() {
-                    shard.done_epoch = Some(self.epoch);
-                }
-            }
-        }
         self.epoch_barrier();
         !self.is_done()
     }
@@ -384,9 +343,7 @@ impl Fleet {
             epoch: self.epoch,
             ..EpochEntry::default()
         };
-        for slot in &self.shards {
-            // memlint: allow(no-unwrap): poisoned shard lock means an engine panicked — propagate
-            let mut shard = slot.lock().expect("shard engine panicked");
+        for shard in &mut self.shards {
             let live = shard.engine.live_stats();
             let prev = &shard.last_live;
             entry.faults_injected += live.faults_injected.saturating_sub(prev.faults_injected);
@@ -434,16 +391,7 @@ impl Fleet {
         if self.meta_error.is_some() {
             return;
         }
-        let last_live: Vec<LiveStats> = self
-            .shards
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    // memlint: allow(no-unwrap): poisoned shard lock means an engine panicked — propagate
-                    .expect("shard engine panicked")
-                    .last_live
-            })
-            .collect();
+        let last_live: Vec<LiveStats> = self.shards.iter().map(|shard| shard.last_live).collect();
         let meta = FleetMeta {
             epoch: self.epoch,
             entries: self.epoch_log.clone(),
@@ -471,16 +419,11 @@ impl Fleet {
     /// Rolls the per-shard results up into a [`FleetReport`] and flushes
     /// the fleet-level aggregates through [`telemetry`]. Call after the
     /// fleet is done; shards still mid-run contribute no summary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard engine panicked (poisoned shard lock).
     #[must_use]
     pub fn report(&self) -> FleetReport {
         let mut shards = Vec::with_capacity(self.shards.len());
         let mut latencies: Vec<u64> = Vec::new();
-        for slot in &self.shards {
-            let shard = slot.lock().expect("shard engine panicked");
+        for shard in &self.shards {
             latencies.extend_from_slice(&shard.step_latency_ns);
             let Some(report) = shard.report else { continue };
             let internals = shard.engine.internals();
@@ -538,13 +481,8 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns the first violating shard and its engine's description.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard engine panicked (poisoned shard lock).
     pub fn verify_refresh_correctness(&self) -> Result<(), String> {
-        for (i, slot) in self.shards.iter().enumerate() {
-            let shard = slot.lock().expect("shard engine panicked");
+        for (i, shard) in self.shards.iter().enumerate() {
             if shard.report.is_some() {
                 shard
                     .engine
@@ -563,29 +501,26 @@ impl Fleet {
 /// vulnerable-cell cache, so a group's chip state is `Arc`-shared across
 /// its shard engines — cold fills happen once per chip config, not once
 /// per shard (asserted by the cheap-clone audit test).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ContentTemplates {
     modules: Vec<((u64, dram::geometry::ChipDensity), dram::module::DramModule)>,
-    model: Option<failure_model::model::CouplingFailureModel>,
+    model: failure_model::model::CouplingFailureModel,
 }
 
 impl ContentTemplates {
-    fn build(plan: &FleetPlan) -> ContentTemplates {
+    fn build(plan: &FleetPlan, rows_per_bank: u32) -> ContentTemplates {
         use dram::geometry::DramGeometry;
         use dram::timing::TimingParams;
         use failure_model::model::CouplingFailureModel;
         use failure_model::params::FailureModelParams;
 
-        let FleetOracle::Content { rows_per_bank } = plan.config.oracle else {
-            return ContentTemplates::default();
-        };
         let mut templates = ContentTemplates {
             modules: Vec::new(),
             // One model for the whole fleet: the vulnerable-cell cache is
             // keyed by chip identity internally, so sharing it across
             // groups is sound and maximizes reuse.
-            model: Some(CouplingFailureModel::new(
-                FailureModelParams::calibrated_at(plan.config.engine.lo_ms),
+            model: CouplingFailureModel::new(FailureModelParams::calibrated_at(
+                plan.config.engine.lo_ms,
             )),
         };
         for spec in &plan.shards {
@@ -612,12 +547,11 @@ impl ContentTemplates {
             .find(|(k, _)| *k == key)
             .map(|(_, m)| m.clone())
             .expect("template exists for every shard's chip identity");
-        let model = self.model.clone().expect("content mode builds the model");
         // Content seed = chip seed: shards of one group regenerate the
         // same content stream for the same (page, generation).
         ContentOracle::new(
             module,
-            model,
+            self.model.clone(),
             ContentProfile::random_data(),
             lo_ms,
             spec.chip_seed,
@@ -640,6 +574,7 @@ mod tests {
 
     #[test]
     fn epoch_stepping_matches_whole_runs() {
+        let _lock = crate::telemetry_lock();
         // The fleet's epoch-sliced engines must report exactly what one
         // whole-trace run of the same engine reports.
         let config = FleetConfig::small(6, 42);
@@ -668,6 +603,7 @@ mod tests {
 
     #[test]
     fn content_shards_share_chip_state_within_a_group() {
+        let _lock = crate::telemetry_lock();
         // Two shards per chip-seed group: the vulnerable-cell cache must
         // cold-fill once per chip config, not once per shard. Counted via
         // the failure model's own cache telemetry.
@@ -694,6 +630,7 @@ mod tests {
 
     #[test]
     fn step_latencies_are_recorded_per_epoch() {
+        let _lock = crate::telemetry_lock();
         let config = FleetConfig::small(3, 5);
         let plan = FleetPlan::expand(&config, 1);
         let mut fleet = Fleet::new(&plan);
@@ -719,6 +656,7 @@ mod tests {
 
     #[test]
     fn recovered_fleet_is_jobs_invariant_and_matches_uninterrupted() {
+        let _lock = crate::telemetry_lock();
         // Reference: the same fleet with no store at all.
         let mut config = FleetConfig::small(4, 99);
         config.fault_plan = Some(engine_plan(0xF1EE7));
@@ -780,6 +718,7 @@ mod tests {
 
     #[test]
     fn fleet_recovers_from_a_crash_before_the_first_barrier() {
+        let _lock = crate::telemetry_lock();
         let mut config = FleetConfig::small(2, 31);
         let reference = {
             let plan = FleetPlan::expand(&config, 1);
@@ -802,6 +741,7 @@ mod tests {
 
     #[test]
     fn recover_refuses_a_storeless_config_and_a_finished_fleet() {
+        let _lock = crate::telemetry_lock();
         let mut config = FleetConfig::small(2, 8);
         let plan = FleetPlan::expand(&config, 1);
         assert!(matches!(

@@ -263,11 +263,23 @@ impl FleetPlan {
 }
 
 #[cfg(test)]
+/// Serializes this crate's unit tests that run fleet code or install a
+/// telemetry registry: `telemetry::install` swaps a process-wide registry
+/// and the harness runs tests on parallel threads, so a fleet running
+/// beside an installing test would leak its counts into that registry.
+pub(crate) fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn plan_expansion_is_jobs_invariant() {
+        let _lock = crate::telemetry_lock();
         let config = FleetConfig::small(12, 0xF1EE7);
         let a = FleetPlan::expand(&config, 1);
         let b = FleetPlan::expand(&config, 4);
@@ -283,6 +295,7 @@ mod tests {
 
     #[test]
     fn chip_seed_groups_share_identity() {
+        let _lock = crate::telemetry_lock();
         let mut config = FleetConfig::small(8, 3);
         config.distinct_chip_seeds = 2;
         let plan = FleetPlan::expand(&config, 1);
@@ -295,6 +308,7 @@ mod tests {
 
     #[test]
     fn shard_fault_plans_are_derived_per_node() {
+        let _lock = crate::telemetry_lock();
         let mut config = FleetConfig::small(4, 9);
         config.fault_plan = Some(Arc::new(FaultPlan::uniform(0xBAD, 0.1)));
         let plan = FleetPlan::expand(&config, 1);

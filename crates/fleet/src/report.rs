@@ -345,6 +345,7 @@ mod tests {
 
     #[test]
     fn flush_records_rollup_counters() {
+        let _lock = crate::telemetry_lock();
         let registry = std::sync::Arc::new(telemetry::Registry::new());
         registry.set_enabled(true);
         let guard = telemetry::install(std::sync::Arc::clone(&registry));

@@ -10,16 +10,24 @@
 //!
 //! * the index range is split into fixed-size chunks; chunk boundaries
 //!   depend only on `len` and the worker count, never on timing,
-//! * workers own per-worker deques of chunk ids (round-robin seeded) and
-//!   steal from the busiest sibling when their own deque drains,
+//! * workers own per-worker deques of `(chunk id, payload)` entries
+//!   (round-robin seeded) and steal from the busiest sibling when their own
+//!   deque drains,
 //! * every chunk's results are tagged with the chunk id and reassembled in
 //!   chunk order after the scope joins — an *ordered reduction*, so
 //!   floating-point accumulation in the caller happens in the same order
 //!   the sequential loop would have used.
 //!
+//! One scheduler serves two fan-outs. [`ordered_map_with`] sends index
+//! ranges through it and hands `f` shared references only;
+//! [`ordered_map_mut`] sends disjoint `chunks_mut` slices of a caller's
+//! `&mut [S]`, so per-item state (a fleet shard, a chip tester) is
+//! stepped through plain `&mut` with no lock around it.
+//!
 //! `jobs = 1` (or a single-item range, or a call from inside a worker)
-//! bypasses the pool entirely and runs the plain sequential loop, so the
-//! sequential path is not merely equivalent but *the same code*.
+//! bypasses the pool entirely and runs the whole range as one chunk on the
+//! caller, so the sequential path is not merely equivalent but *the same
+//! code*.
 //!
 //! # Worker-count resolution
 //!
@@ -98,17 +106,6 @@ pub fn pool_stats() -> PoolStats {
     }
 }
 
-/// Zeroes the process-lifetime [`PoolStats`] (tests and report scoping).
-pub fn reset_pool_stats() {
-    STAT_SCOPES.store(0, Ordering::Relaxed);
-    STAT_INLINE_RUNS.store(0, Ordering::Relaxed);
-    STAT_CHUNKS_RUN.store(0, Ordering::Relaxed);
-    STAT_CHUNKS_STOLEN.store(0, Ordering::Relaxed);
-    for counter in &STAT_WORKER_CHUNKS {
-        counter.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Process-global worker count installed by [`set_jobs`] (0 = unset).
 /// Configuration, not computed state: set once from the CLI before any
 /// parallel work, and the same value on every worker makes runs
@@ -154,14 +151,17 @@ pub fn jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `0..len` with the resolved [`jobs`] worker count,
-/// returning results in index order. See [`ordered_map_with`].
-pub fn ordered_map<T, F>(len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    ordered_map_with(jobs(), len, f)
+/// The worker count a parallel call over `len` items runs on: `jobs`
+/// (`0` resolves via [`jobs`]) capped at `len`, and `1` from inside a pool
+/// worker (nested scopes are rejected). `1` means the call runs inline on
+/// the caller's thread.
+#[must_use]
+pub fn effective_workers(jobs: usize, len: usize) -> usize {
+    if in_worker() {
+        return 1;
+    }
+    let jobs = if jobs == 0 { self::jobs() } else { jobs };
+    jobs.min(len).max(1)
 }
 
 /// Maps `f` over `0..len` on a scoped work-stealing pool of `jobs`
@@ -186,20 +186,98 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let jobs = if jobs == 0 { self::jobs() } else { jobs };
-    let workers = jobs.min(len);
-    if workers <= 1 || in_worker() {
+    ordered_chunks(
+        jobs,
+        len,
+        |chunk| {
+            (0..len)
+                .step_by(chunk)
+                .map(move |start| start..(start + chunk).min(len))
+        },
+        |range| range.map(&f).collect(),
+    )
+}
+
+/// Maps `f` (returning a `Vec` per index) over `0..len` and concatenates
+/// the pieces in index order — the parallel equivalent of the sequential
+/// `flat_map` idiom used by per-(rank, bank) sweeps.
+pub fn ordered_flat_map_with<T, F>(jobs: usize, len: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> Vec<T> + Sync,
+{
+    let mut out = Vec::new();
+    for piece in ordered_map_with(jobs, len, f) {
+        out.extend(piece);
+    }
+    out
+}
+
+/// Maps `f` over `items` with exclusive access to each element, on the
+/// same pool and chunk schedule as [`ordered_map_with`], returning
+/// `vec![f(0, &mut items[0]), …, f(len-1, &mut items[len-1])]`.
+///
+/// Each worker receives whole `chunks_mut` slices, so every element is
+/// borrowed mutably by exactly one worker and no lock guards it. The
+/// output and the mutations left in `items` are **bit-identical** to the
+/// sequential `items.iter_mut().enumerate().map(..)` for any `jobs`, and
+/// the same inline cases apply (`jobs == 1`, one item, nested call).
+///
+/// # Panics
+///
+/// Propagates the first panic raised by `f`, like [`ordered_map_with`].
+pub fn ordered_map_mut<S, T, F>(jobs: usize, items: &mut [S], f: F) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(usize, &mut S) -> T + Sync,
+{
+    let len = items.len();
+    ordered_chunks(
+        jobs,
+        len,
+        |chunk| items.chunks_mut(chunk).zip((0..).step_by(chunk)),
+        |(slice, start): (&mut [S], usize)| {
+            (start..).zip(slice).map(|(i, item)| f(i, item)).collect()
+        },
+    )
+}
+
+/// The one chunk scheduler behind every fan-out. `split(chunk)` cuts the
+/// `len` items into payloads of `chunk` items each, in item order; `run`
+/// maps one payload to its results. Chunk `c` is seeded round-robin into
+/// worker `c % workers`'s deque, workers steal via [`claim_chunk`], and
+/// the per-chunk results are reassembled in chunk order after the scope
+/// joins. At one effective worker (see [`effective_workers`]) the whole
+/// range is a single chunk run inline on the caller.
+fn ordered_chunks<P, I, T, R>(
+    jobs: usize,
+    len: usize,
+    split: impl FnOnce(usize) -> I,
+    run: R,
+) -> Vec<T>
+where
+    P: Send,
+    I: Iterator<Item = P>,
+    T: Send,
+    R: Fn(P) -> Vec<T> + Sync,
+{
+    let workers = effective_workers(jobs, len);
+    if workers == 1 {
         STAT_INLINE_RUNS.fetch_add(1, Ordering::Relaxed);
-        return (0..len).map(f).collect();
+        // One chunk spanning the whole range (none when `len` is 0).
+        return split(len.max(1)).next().map(run).unwrap_or_default();
     }
     STAT_SCOPES.fetch_add(1, Ordering::Relaxed);
 
     // Chunk geometry depends only on (len, workers): deterministic.
     let chunk = chunk_size(len, workers);
     let n_chunks = len.div_ceil(chunk);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((0..n_chunks).filter(|c| c % workers == w).collect()))
-        .collect();
+    let mut deques: Vec<VecDeque<(usize, P)>> = (0..workers).map(|_| VecDeque::new()).collect();
+    for (c, payload) in split(chunk).enumerate() {
+        deques[c % workers].push_back((c, payload));
+    }
+    let queues: Vec<Mutex<VecDeque<(usize, P)>>> = deques.into_iter().map(Mutex::new).collect();
 
     let mut pieces: Vec<(usize, Vec<T>)> = Vec::with_capacity(n_chunks);
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
@@ -207,19 +285,17 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let queues = &queues;
-                let f = &f;
+                let run = &run;
                 scope.spawn(move || {
                     IN_WORKER.with(|flag| flag.set(true));
                     let mut done: Vec<(usize, Vec<T>)> = Vec::new();
-                    while let Some((c, stolen)) = claim_chunk(queues, w) {
+                    while let Some(((c, payload), stolen)) = claim_chunk(queues, w) {
                         STAT_CHUNKS_RUN.fetch_add(1, Ordering::Relaxed);
                         STAT_WORKER_CHUNKS[w % STAT_WORKER_SLOTS].fetch_add(1, Ordering::Relaxed);
                         if stolen {
                             STAT_CHUNKS_STOLEN.fetch_add(1, Ordering::Relaxed);
                         }
-                        let start = c * chunk;
-                        let end = (start + chunk).min(len);
-                        done.push((c, (start..end).map(f).collect()));
+                        done.push((c, run(payload)));
                     }
                     done
                 })
@@ -248,32 +324,17 @@ where
     out
 }
 
-/// Maps `f` (returning a `Vec` per index) over `0..len` and concatenates
-/// the pieces in index order — the parallel equivalent of the sequential
-/// `flat_map` idiom used by per-(rank, bank) sweeps.
-pub fn ordered_flat_map_with<T, F>(jobs: usize, len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> Vec<T> + Sync,
-{
-    let mut out = Vec::new();
-    for piece in ordered_map_with(jobs, len, f) {
-        out.extend(piece);
-    }
-    out
-}
-
 /// Chunk size targeting ~4 stealable chunks per worker (floor 1), so the
 /// pool load-balances without shredding cache locality.
 fn chunk_size(len: usize, workers: usize) -> usize {
     len.div_ceil(workers.saturating_mul(4).max(1)).max(1)
 }
 
-/// Pops a chunk id: own deque front first, then steal from the sibling
+/// Pops a chunk: own deque front first, then steal from the sibling
 /// with the longest deque (back side). The flag reports whether the chunk
 /// was stolen. `None` when every deque is empty — no new work is ever
 /// generated mid-run, so an empty sweep is terminal.
-fn claim_chunk(queues: &[Mutex<VecDeque<usize>>], own: usize) -> Option<(usize, bool)> {
+fn claim_chunk<C>(queues: &[Mutex<VecDeque<C>>], own: usize) -> Option<(C, bool)> {
     if let Some(c) = queues[own]
         .lock()
         .expect("worker deque poisoned")
@@ -402,6 +463,88 @@ mod tests {
         });
         assert_eq!(out, (0..8).map(|i| 120 + 16 * i).collect::<Vec<_>>());
         assert!(!in_worker(), "flag must not leak to the caller");
+    }
+
+    #[test]
+    fn map_mut_visits_every_item_once_and_keeps_mutations() {
+        for jobs in [1, 2, 3, 8, 64] {
+            let mut items: Vec<(usize, u32)> = (0..37).map(|i| (i, 0)).collect();
+            let seen = ordered_map_mut(jobs, &mut items, |i, item| {
+                assert_eq!(item.0, i, "index must name its own item");
+                item.1 += 1;
+                i
+            });
+            assert_eq!(seen, (0..37).collect::<Vec<_>>());
+            assert!(
+                items.iter().all(|&(_, visits)| visits == 1),
+                "jobs={jobs}: every item mutated exactly once"
+            );
+        }
+    }
+
+    #[test]
+    fn map_mut_output_is_identical_across_worker_counts() {
+        // Includes more workers than items (5 items at jobs 8 and 64).
+        let step = |i: usize, x: &mut f64| {
+            *x = (*x + i as f64).sqrt().sin() * 1e9;
+            x.to_bits()
+        };
+        for len in [5usize, 1000] {
+            let mut seq_items: Vec<f64> = (0..len).map(|i| i as f64 * 0.5).collect();
+            let seq: Vec<u64> = seq_items
+                .iter_mut()
+                .enumerate()
+                .map(|(i, x)| step(i, x))
+                .collect();
+            for jobs in [1, 2, 3, 8, 64] {
+                let mut items: Vec<f64> = (0..len).map(|i| i as f64 * 0.5).collect();
+                let par = ordered_map_mut(jobs, &mut items, step);
+                assert_eq!(par, seq, "len={len} jobs={jobs}: results diverged");
+                assert!(
+                    items
+                        .iter()
+                        .zip(&seq_items)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "len={len} jobs={jobs}: mutations diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn map_mut_runs_inline_at_jobs_one_and_when_nested() {
+        let caller = std::thread::current().id();
+        let mut items = vec![0u8; 50];
+        let _ = ordered_map_mut(1, &mut items, |_, _| {
+            assert_eq!(std::thread::current().id(), caller, "must not spawn");
+        });
+        let out = ordered_map_with(4, 8, |i| {
+            let worker = std::thread::current().id();
+            let mut inner: Vec<usize> = (0..16).collect();
+            let _ = ordered_map_mut(4, &mut inner, |_, x| {
+                assert_eq!(std::thread::current().id(), worker, "nested spawn");
+                *x += i;
+            });
+            inner.iter().sum::<usize>()
+        });
+        assert_eq!(out, (0..8).map(|i| 120 + 16 * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_mut_panic_propagates_from_worker() {
+        let mut items = vec![0u32; 100];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = ordered_map_mut(4, &mut items, |i, _| {
+                assert!(i != 61, "injected failure at 61");
+            });
+        }));
+        let payload = result.expect_err("worker panic must propagate");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(ToString::to_string)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("injected failure"), "payload: {msg}");
     }
 
     #[test]
