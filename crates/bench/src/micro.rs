@@ -41,64 +41,6 @@ pub fn register(c: &mut Criterion) {
     bench_ecc(c);
     bench_telemetry(c);
     bench_fleet(c);
-    bench_store(c);
-}
-
-fn bench_store(c: &mut Criterion) {
-    use store::{DurabilityMode, Record, Store};
-
-    const RECORDS: u64 = 10_000;
-
-    let mut g = c.benchmark_group("store");
-    g.sample_size(20);
-    g.throughput(Throughput::Elements(RECORDS));
-    // WAL framing + checksum cost with IO factored out (InMemory mode):
-    // what every journaled engine transition pays.
-    g.bench_function("wal_append_10k", |b| {
-        b.iter_batched(
-            || {
-                Store::create(std::path::Path::new("bench-wal"), DurabilityMode::InMemory)
-                    // memlint: allow(no-unwrap): in-memory stores cannot fail to create
-                    .expect("in-memory store")
-            },
-            |mut s| {
-                for i in 0..RECORDS {
-                    s.append(&Record::Progress {
-                        quantum: i,
-                        now_ns: i * 1000,
-                    })
-                    // memlint: allow(no-unwrap): in-memory appends cannot fail without faults armed
-                    .expect("in-memory append");
-                }
-                std::hint::black_box(s)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    // The recovery scan over the same journal: frame parse, CRC verify,
-    // and record decode per entry — the startup cost of a crashed store.
-    let image = {
-        let mut s = Store::create(std::path::Path::new("bench-wal"), DurabilityMode::InMemory)
-            // memlint: allow(no-unwrap): in-memory stores cannot fail to create
-            .expect("in-memory store");
-        for i in 0..RECORDS {
-            s.append(&Record::Progress {
-                quantum: i,
-                now_ns: i * 1000,
-            })
-            // memlint: allow(no-unwrap): in-memory appends cannot fail without faults armed
-            .expect("in-memory append");
-        }
-        // memlint: allow(no-unwrap): segment 0 exists after the appends above
-        s.mem_segment(0).expect("segment image").to_vec()
-    };
-    g.bench_function("recover_10k_records", |b| {
-        b.iter(|| {
-            let scan = store::scan_bytes(std::hint::black_box(&image));
-            std::hint::black_box((scan.records.len(), scan.valid_len, scan.torn))
-        })
-    });
-    g.finish();
 }
 
 fn bench_fleet(c: &mut Criterion) {

@@ -119,18 +119,6 @@ impl RowContent {
         &self.words
     }
 
-    /// Mutable view of the word storage.
-    #[must_use]
-    pub fn as_mut_words(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// Consumes the row, returning the word storage.
-    #[must_use]
-    pub fn into_words(self) -> Vec<u64> {
-        self.words
-    }
-
     /// Bit positions at which `self` and `other` differ — the "failing cells"
     /// a read-back comparison discovers.
     ///

@@ -124,30 +124,6 @@ impl ContentProfile {
         Ok(())
     }
 
-    /// Samples one 64-bit word from the mixture (word-granularity mixing;
-    /// row generation uses page-granularity classes instead, see
-    /// [`ContentProfile::row_content`]).
-    pub fn sample_word<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let t = self.total();
-        let mut x = rng.gen_range(0.0..t);
-        if x < self.zero {
-            return WordClass::Zero.sample(rng);
-        }
-        x -= self.zero;
-        if x < self.random {
-            return WordClass::Random.sample(rng);
-        }
-        x -= self.random;
-        if x < self.pointer {
-            return WordClass::Pointer.sample(rng);
-        }
-        x -= self.pointer;
-        if x < self.small_int {
-            return WordClass::SmallInt.sample(rng);
-        }
-        WordClass::Text.sample(rng)
-    }
-
     /// Deterministic content of one row under this profile.
     ///
     /// The mixture weights are applied at **page granularity**: each row

@@ -74,14 +74,14 @@ pub enum Site {
     /// `memcon::ecc`: an uncorrectable double-bit word error during
     /// read-back.
     EccUncorrectable = 10,
-    /// `store`: a WAL append is torn mid-frame — only a prefix of the
-    /// record reaches the file before the simulated crash.
+    /// `store`: a snapshot publication is torn — only a prefix of the
+    /// image reaches its temp file, and the rename never happens.
     StoreTornWrite = 11,
-    /// `store`: recovery's WAL scan sees an early EOF — the file read
-    /// comes up short of the next full record.
+    /// `store`: recovery's read of a snapshot file comes up short, so
+    /// that snapshot fails its checksum and the one before it is loaded.
     StoreShortRead = 12,
-    /// `store`: a WAL record is written with a corrupted checksum, to be
-    /// caught (and truncated away) at recovery time.
+    /// `store`: a published snapshot image carries one flipped bit, to be
+    /// caught by its checksum (and skipped) at recovery time.
     StoreCorruptRecord = 13,
 }
 

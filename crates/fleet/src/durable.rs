@@ -1,16 +1,15 @@
 //! Durable fleet state: the epoch log and its meta-store codec.
 //!
 //! A durable fleet ([`FleetConfig::store_dir`](crate::FleetConfig) set)
-//! keeps two kinds of state on disk:
+//! keeps two kinds of snapshot stores on disk:
 //!
-//! * **per-shard stores** (`shard-<node>/`) — each shard engine journals
-//!   per-quantum progress markers and snapshots itself at every epoch
-//!   barrier (snapshot cadence = `epoch_quanta`), entirely through
-//!   [`memcon::engine::MemconEngine::attach_store`];
+//! * **per-shard stores** (`shard-<node>/`) — each shard engine snapshots
+//!   itself at every epoch barrier (snapshot cadence = `epoch_quanta`),
+//!   entirely through [`memcon::engine::MemconEngine::attach_store`];
 //! * **one fleet meta store** (`fleet/`) — at every epoch barrier the
-//!   scheduler appends an [`store::Record::EpochSample`] and publishes a
-//!   [`FleetMeta`] snapshot: the epoch clock, the complete per-epoch
-//!   observability log, and every shard's [`LiveStats`] cursor.
+//!   scheduler publishes a [`FleetMeta`] snapshot: the epoch clock, the
+//!   complete per-epoch observability log, and every shard's
+//!   [`LiveStats`] cursor.
 //!
 //! On [`Fleet::recover`](crate::Fleet::recover) the meta snapshot replays
 //! the epoch log through [`emit_epoch_entry`] — the *same* code path the
@@ -172,14 +171,9 @@ pub struct FleetRecovery {
     pub epochs_replayed: u64,
     /// Shard engines recovered from their stores.
     pub shards_recovered: u64,
-    /// Intact WAL tail records scanned across all stores (meta + shards).
-    pub replayed_records: u64,
-    /// Bytes truncated from torn WAL tails across all stores.
-    pub truncated_bytes: u64,
-    /// Corrupt snapshots skipped (and deleted) across all stores.
+    /// Corrupt snapshots skipped (and deleted) across all stores (meta +
+    /// shards).
     pub snapshots_skipped: u64,
-    /// Stale pre-bound WAL segments discarded across all stores.
-    pub stale_segments: u64,
 }
 
 #[cfg(test)]

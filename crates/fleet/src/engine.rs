@@ -13,7 +13,7 @@ use memcon::engine::{LiveStats, MemconEngine, MemconReport, RecoveryStats};
 use memcon::refreshmgr::PageState;
 use memcon::testengine::{ContentOracle, FailureOracle, RateOracle};
 use memutil::par;
-use store::{Record, Store, StoreError};
+use store::{Store, StoreError};
 
 use crate::durable::{self, EpochEntry, FleetMeta, FleetRecovery};
 use crate::report::{FleetReport, LatencySummary, ShardSummary};
@@ -55,7 +55,7 @@ pub struct Fleet {
     /// Shared behind a mutex so a scrape endpoint can serve `HEALTH`
     /// while the fleet runs.
     health: Option<Arc<Mutex<telemetry::HealthMonitor>>>,
-    /// Fleet meta store (epoch-log journal + barrier snapshots), when the
+    /// Fleet meta store (epoch-log barrier snapshots), when the
     /// fleet is durable.
     meta: Option<Store>,
     /// First meta-store failure: the fleet-level durability plane goes
@@ -189,10 +189,7 @@ impl Fleet {
             });
         let mut totals = FleetRecovery {
             epochs_replayed: meta.entries.len() as u64,
-            replayed_records: meta_rec.replayed_records,
-            truncated_bytes: meta_rec.truncated_bytes,
             snapshots_skipped: meta_rec.snapshots_skipped,
-            stale_segments: meta_rec.stale_segments,
             ..FleetRecovery::default()
         };
         let mut engines = Vec::with_capacity(plan.shards.len());
@@ -204,10 +201,7 @@ impl Fleet {
                 )));
             }
             totals.shards_recovered += 1;
-            totals.replayed_records += rec.replayed_records;
-            totals.truncated_bytes += rec.truncated_bytes;
             totals.snapshots_skipped += rec.snapshots_skipped;
-            totals.stale_segments += rec.stale_segments;
             engines.push((engine, meta.last_live[i]));
         }
         let fleet = Fleet::assemble(plan, engines, meta.epoch, Some(meta_store), meta.entries);
@@ -382,11 +376,10 @@ impl Fleet {
         }
     }
 
-    /// Persists the current epoch barrier to the fleet meta store: one
-    /// [`Record::EpochSample`] in the WAL, then a fresh [`FleetMeta`]
-    /// snapshot. The first failure poisons the meta store (mirroring the
-    /// shard engines' store-error latch): the fleet keeps simulating, but
-    /// no further meta writes are attempted.
+    /// Persists the current epoch barrier to the fleet meta store as a
+    /// fresh [`FleetMeta`] snapshot. The first failure poisons the meta
+    /// store (mirroring the shard engines' store-error latch): the fleet
+    /// keeps simulating, but no further meta writes are attempted.
     fn persist_barrier(&mut self) {
         if self.meta_error.is_some() {
             return;
@@ -400,10 +393,7 @@ impl Fleet {
         let Some(store) = self.meta.as_mut() else {
             return;
         };
-        let result = store
-            .append(&Record::EpochSample { epoch: self.epoch })
-            .and_then(|()| store.publish_snapshot(&meta.encode()));
-        if let Err(err) = result {
+        if let Err(err) = store.publish_snapshot(&meta.encode()) {
             self.meta_error = Some(err);
         }
     }
@@ -643,8 +633,8 @@ mod tests {
     }
 
     /// Engine-plane-only fault plan: the store sites stay cold so shard
-    /// WALs never tear and the crash scenario is exactly the one injected
-    /// by the test itself.
+    /// snapshots never tear and the crash scenario is exactly the one
+    /// injected by the test itself.
     fn engine_plan(seed: u64) -> Arc<faultinject::FaultPlan> {
         use faultinject::{Site, SiteSpec};
         Arc::new(

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use faultinject::{FaultPlan, FaultSession, Site};
 use memtrace::trace::WriteTrace;
 use memutil::codec::{Codec, Dec, Enc};
-use store::{DurabilityMode, Record, Recovered, Store, StoreError};
+use store::{DurabilityMode, Recovered, Store, StoreError};
 
 use crate::config::MemconConfig;
 use crate::cost::CostModel;
@@ -303,7 +303,7 @@ pub struct MemconEngine {
     /// Snapshot cadence in quanta while a store is attached (0 = none).
     snapshot_every: u64,
     /// First store failure, if any: the durability plane is considered
-    /// crashed from that point (no further journaling or snapshots), while
+    /// crashed from that point (no further snapshots), while
     /// the simulation itself continues unaffected.
     store_error: Option<StoreError>,
     /// Per-quantum PRIL candidate-count distribution, bucketed by
@@ -408,10 +408,9 @@ impl MemconEngine {
 
     /// Attaches a durable [`Store`]: subsequent runs publish an engine
     /// snapshot every `snapshot_every` quanta (plus one at
-    /// [`MemconEngine::begin_run`] and one at [`MemconEngine::finish_run`])
-    /// and journal run begin plus one [`Record::Progress`] marker
-    /// per quantum to its WAL. A crashed run recovers via
-    /// [`MemconEngine::recover`], which resumes from the newest snapshot.
+    /// [`MemconEngine::begin_run`] and one at [`MemconEngine::finish_run`]).
+    /// A crashed run recovers via [`MemconEngine::recover`], which resumes
+    /// from the newest snapshot that verifies.
     ///
     /// Store failures never fail the simulation: the first one is latched
     /// into [`MemconEngine::store_error`] and the durability plane goes
@@ -451,15 +450,9 @@ impl MemconEngine {
         self.store.as_ref()
     }
 
-    /// Detaches and returns the store (flushing is the caller's business).
-    pub fn take_store(&mut self) -> Option<Store> {
-        self.snapshot_every = 0;
-        self.store.take()
-    }
-
     /// The first store failure of the attached store's lifetime, if any.
-    /// Once set, journaling and snapshotting stop (the on-disk state is a
-    /// faithful crash image); the simulation itself continues.
+    /// Once set, snapshotting stops (the on-disk state is a faithful crash
+    /// image); the simulation itself continues.
     #[must_use]
     pub fn store_error(&self) -> Option<&StoreError> {
         self.store_error.as_ref()
@@ -472,21 +465,8 @@ impl MemconEngine {
         self.run.is_some()
     }
 
-    /// Appends `rec` to the attached store's WAL, latching the first
-    /// failure into `store_error` (after which journaling goes quiet).
-    fn journal(&mut self, rec: &Record) {
-        if self.store_error.is_some() {
-            return;
-        }
-        if let Some(store) = self.store.as_mut() {
-            if let Err(e) = store.append(rec) {
-                self.store_error = Some(e);
-            }
-        }
-    }
-
-    /// Publishes an encoded engine snapshot, with the same failure
-    /// latching as [`Self::journal`].
+    /// Publishes an encoded engine snapshot, latching the first failure
+    /// into `store_error` (after which the durability plane goes quiet).
     fn publish_payload(&mut self, payload: &[u8]) {
         if self.store_error.is_some() {
             return;
@@ -628,27 +608,27 @@ impl MemconEngine {
     }
 
     /// Recovers an engine from a durable store directory: opens the store
-    /// (scanning the WAL tail and truncating any torn or corrupt frames),
-    /// loads the newest valid snapshot, and rebuilds the engine exactly as
-    /// it stood when that snapshot was published — including an
-    /// in-progress run, ready to resume.
+    /// (deleting leftover temp files and skipping a torn or corrupt newest
+    /// snapshot), loads the newest valid snapshot, and rebuilds the engine
+    /// exactly as it stood when that snapshot was published — including
+    /// an in-progress run, ready to resume.
     ///
-    /// Recovery is deterministic snapshot-resume: no WAL record is
-    /// applied, and traces are not persisted, so the caller must resume
-    /// the recovered run with the **same trace** (and the engine carries
-    /// its fault plan and decision cursors in the snapshot, so the
-    /// replayed fault stream continues bit-identically). A recovered
-    /// engine journals a [`Record::RecoveryEvent`] and publishes a fresh
-    /// snapshot before returning; time-series sampling stays disarmed.
+    /// Recovery is deterministic snapshot-resume: traces are not
+    /// persisted, so the caller must resume the recovered run with the
+    /// **same trace** and re-executes everything past the snapshot (the
+    /// engine carries its fault plan and decision cursors in the
+    /// snapshot, so the replayed fault stream continues bit-identically).
+    /// A recovered engine publishes a fresh snapshot before returning;
+    /// time-series sampling stays disarmed.
     ///
-    /// `scan_plan` arms fault injection for the recovery scan itself
+    /// `scan_plan` arms fault injection for recovery's snapshot reads
     /// (`store.short_read`).
     ///
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] when no usable snapshot exists or the
     /// newest valid snapshot does not decode; any [`StoreError`] from
-    /// opening the store. Post-recovery journaling failures are latched
+    /// opening the store. Post-recovery publication failures are latched
     /// into [`MemconEngine::store_error`], not returned.
     pub fn recover(
         dir: &Path,
@@ -662,10 +642,6 @@ impl MemconEngine {
         let mut engine = Self::decode_state(&snap.payload).map_err(StoreError::Corrupt)?;
         engine.store = Some(store);
         engine.store_error = None;
-        engine.journal(&Record::RecoveryEvent {
-            replayed_records: recovered.replayed_records,
-            truncated_bytes: recovered.truncated_bytes,
-        });
         engine.snapshot_now();
         Ok((engine, recovered))
     }
@@ -826,11 +802,6 @@ impl MemconEngine {
             if let Some(store) = self.store.as_mut() {
                 store.set_fault_session(store_session);
             }
-            self.journal(&Record::RunBegin {
-                n_pages: self.n_pages,
-                duration_ns: run.clock.duration,
-                quantum_ns: run.clock.quantum_ns,
-            });
             // Anchor snapshot: recovery always has a post-pre-pass state to
             // resume from, even before the first cadence boundary.
             let payload = self.encode_state(Some(&run));
@@ -876,15 +847,9 @@ impl MemconEngine {
             if t_quantum == Some(now) {
                 self.handle_quantum(now, &mut run.mgr, run.clock.mwi_ns);
                 run.clock.next_quantum += run.clock.quantum_ns;
-                if self.store.is_some() {
-                    self.journal(&Record::Progress {
-                        quantum: self.quantum_index,
-                        now_ns: now,
-                    });
-                    if self.snapshot_every > 0 && self.quantum_index % self.snapshot_every == 0 {
-                        let payload = self.encode_state(Some(&run));
-                        self.publish_payload(&payload);
-                    }
+                if self.store.is_some() && self.quantum_index.is_multiple_of(self.snapshot_every) {
+                    let payload = self.encode_state(Some(&run));
+                    self.publish_payload(&payload);
                 }
                 continue;
             }
@@ -1743,7 +1708,11 @@ mod tests {
             .with_site(Site::EccUncorrectable, SiteSpec::rate(0.1));
         let mut e = MemconEngine::new(cfg(), trace.n_pages());
         e.set_fault_plan(Some(Arc::new(plan)));
-        let store = Store::create(&scratch_dir("engine-pinned"), DurabilityMode::InMemory).unwrap();
+        let store = Store::create(
+            &scratch_dir("engine-pinned-payload"),
+            DurabilityMode::InMemory,
+        )
+        .unwrap();
         e.attach_store(store, 3).unwrap();
         e.begin_run(&trace);
         // The newest cadence snapshot before 31 quanta is quantum 30's.
@@ -1776,107 +1745,76 @@ mod tests {
         }
     }
 
+    /// The store files in `dir`, sorted by name.
+    fn store_files(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn wal_tail_holds_only_run_progress_and_recovery_markers() {
-        // Tests, retries and pins all happen before the crash, yet the
-        // surviving WAL holds one Progress marker per quantum past the
-        // anchor snapshot and nothing else: the engine journals no
-        // per-transition records.
+    fn durable_run_leaves_only_the_newest_snapshots() {
+        // Tests, retries and pins all happen, and a snapshot is published
+        // every third quantum, yet the store directory ends with the two
+        // newest snapshots and nothing else.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(7);
         let plan = FaultPlan::new(0xDEAD_BEEF)
             .with_site(Site::TestPreempt, SiteSpec::rate(0.1))
             .with_site(Site::TornRead, SiteSpec::rate(0.3))
             .with_site(Site::EccUncorrectable, SiteSpec::rate(0.1));
-        let dir = scratch_dir("engine-wal-kinds");
-        let quanta = {
-            let mut e = MemconEngine::new(cfg(), trace.n_pages());
-            e.set_fault_plan(Some(Arc::new(plan)));
-            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            e.attach_store(store, 10_000).unwrap();
-            e.begin_run(&trace);
-            e.advance_until(&trace, trace.duration_ns() * 3 / 5);
-            assert!(e.store_error().is_none());
-            assert!(e.internals().tests.started > 0, "tests ran");
-            let live = e.live_stats();
-            assert!(live.retries > 0, "retries ran");
-            assert!(live.degraded_rows > 0, "pages were pinned");
-            e.quantum_index
-        };
-        let mut wals: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|entry| entry.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|x| x == "wal"))
-            .collect();
-        wals.sort();
-        let mut records = Vec::new();
-        for wal in &wals {
-            let scan = store::scan_bytes(&std::fs::read(wal).unwrap());
-            assert!(!scan.torn, "{} scans clean", wal.display());
-            records.extend(scan.records);
-        }
-        for rec in &records {
-            assert!(
-                matches!(
-                    rec,
-                    Record::RunBegin { .. }
-                        | Record::Progress { .. }
-                        | Record::EpochSample { .. }
-                        | Record::RecoveryEvent { .. }
-                ),
-                "unexpected record {rec:?}"
-            );
-        }
-        let progress: Vec<u64> = records
-            .iter()
-            .filter_map(|rec| match rec {
-                Record::Progress { quantum, .. } => Some(*quantum),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(progress, (1..=quanta).collect::<Vec<_>>());
-        assert_eq!(records.len(), progress.len(), "the tail is all Progress");
+        let dir = scratch_dir("engine-snap-files");
+        let mut e = MemconEngine::new(cfg(), trace.n_pages());
+        e.set_fault_plan(Some(Arc::new(plan)));
+        let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
+        e.attach_store(store, 3).unwrap();
+        e.begin_run(&trace);
+        e.advance_until(&trace, trace.duration_ns() * 3 / 5);
+        assert!(e.store_error().is_none());
+        assert!(e.internals().tests.started > 0, "tests ran");
+        let live = e.live_stats();
+        assert!(live.retries > 0, "retries ran");
+        assert!(live.degraded_rows > 0, "pages were pinned");
+        // Anchor plus one snapshot per third quantum.
+        let published = 1 + e.quantum_index / 3;
+        let names = store_files(&dir);
+        assert_eq!(
+            names,
+            [
+                format!("snap-{:08}.snap", published - 2),
+                format!("snap-{:08}.snap", published - 1),
+            ]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn recovery_truncates_a_torn_wal_tail_and_still_resumes() {
-        // Cut the newest WAL segment mid-frame (a crash mid-write):
-        // recovery must report the truncation, never load the partial
-        // record, and the resumed run must still match the reference.
+    fn recovery_falls_back_past_a_truncated_newest_snapshot_and_still_resumes() {
+        // The newest snapshot's rename reached the disk but its data did
+        // not: recovery must skip it, load the one before, and the
+        // re-executed run must still match the reference.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(11);
         let plan = engine_plan(0xFEED_FACE);
         let (r_ref, rec_ref, states_ref) = reference_run(&trace, &plan);
 
-        let dir = scratch_dir("engine-torn-tail");
+        let dir = scratch_dir("engine-torn-snap");
         {
             let mut e = MemconEngine::new(cfg(), trace.n_pages());
             e.set_fault_plan(Some(Arc::clone(&plan)));
             let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            // A huge cadence pins the anchor snapshot as the recovery
-            // point, so the whole partial run sits in one WAL tail
-            // segment — guaranteed non-empty for the cut below.
-            e.attach_store(store, 10_000).unwrap();
+            e.attach_store(store, 3).unwrap();
             e.begin_run(&trace);
             e.advance_until(&trace, trace.duration_ns() * 3 / 5 + 777 * MS);
             assert!(e.store_error().is_none());
         }
-        let mut wals: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|entry| entry.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|x| x == "wal"))
-            .collect();
-        wals.sort();
-        let tail = wals
-            .pop()
-            .expect("a WAL tail segment past the last snapshot");
-        let len = std::fs::metadata(&tail).unwrap().len();
-        assert!(len > 3, "tail segment holds records");
-        let f = std::fs::OpenOptions::new().write(true).open(&tail).unwrap();
-        f.set_len(len - 3).unwrap();
-        drop(f);
+        let newest = dir.join(store_files(&dir).pop().unwrap());
+        let image = std::fs::read(&newest).unwrap();
+        std::fs::write(&newest, &image[..image.len() - 3]).unwrap();
 
         let (mut e, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert!(rec.truncated_bytes > 0, "the torn tail was truncated");
+        assert_eq!(rec.snapshots_skipped, 1, "the torn snapshot was skipped");
         e.advance_until(&trace, trace.duration_ns());
         let r = e.finish_run();
         assert_eq!(r, r_ref);
@@ -1886,9 +1824,9 @@ mod tests {
     }
 
     #[test]
-    fn recovery_from_anchor_snapshot_with_empty_wal() {
+    fn recovery_from_the_anchor_snapshot_alone() {
         // Crash immediately after begin_run: the anchor snapshot is the
-        // whole durable state (rotation leaves no WAL tail behind it).
+        // whole durable state.
         let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
         let mut reference = clean_engine(1);
         let r_ref = reference.run(&trace);
@@ -1902,7 +1840,8 @@ mod tests {
         }
         let (mut e, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
         assert!(e.mid_run());
-        assert_eq!(rec.replayed_records, 0, "no WAL tail survives the anchor");
+        assert_eq!(rec.snapshot.as_ref().map(|s| s.seq), Some(0), "the anchor");
+        assert_eq!(rec.snapshots_skipped, 0);
         e.advance_until(&trace, trace.duration_ns());
         let r = e.finish_run();
         assert_eq!(r, r_ref);
@@ -1911,45 +1850,55 @@ mod tests {
 
     #[test]
     fn torn_write_poisons_the_store_but_never_the_simulation() {
-        // An injected torn append latches store_error and silences the
-        // durability plane; the simulation must finish unaffected, and the
-        // crash image left behind must still recover (with the tear
-        // truncated and reported).
+        // An injected torn publication latches store_error and silences
+        // the durability plane; the simulation must finish unaffected, and
+        // the crash image left behind must still recover (deleting the
+        // half-written temp file) and resume to the same result.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(7000, 0)], 20_480 * MS, 1);
         let mut reference = clean_engine(1);
         let r_ref = reference.run(&trace);
 
         let dir = scratch_dir("engine-torn-write");
         let mut e = clean_engine(1);
+        // Publications: the anchor, then quanta 2, 4, 6 — the fourth tears.
         e.set_fault_plan(Some(plan_with(
             Site::StoreTornWrite,
             SiteSpec {
                 rate: 1.0,
-                schedule: Schedule::OneShot { at: 5 },
+                schedule: Schedule::OneShot { at: 3 },
             },
         )));
         let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-        e.attach_store(store, 10_000).unwrap();
+        e.attach_store(store, 2).unwrap();
         let r = e.run(&trace);
         assert_eq!(r, r_ref, "store faults never perturb the simulation");
         assert_eq!(e.store_error(), Some(&StoreError::TornWrite));
-
         drop(e);
-        let (recovered, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert!(rec.truncated_bytes > 0, "the half-written frame was cut");
         assert!(
-            recovered.mid_run(),
-            "image predates the (never-journaled) finish"
+            store_files(&dir).iter().any(|n| n.ends_with(".tmp")),
+            "the torn publication left its temp file"
         );
+
+        let (mut recovered, rec) =
+            MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
+        assert_eq!(rec.snapshots_skipped, 0);
+        assert_eq!(rec.snapshot.as_ref().map(|s| s.seq), Some(2), "quantum 4's");
+        assert!(
+            store_files(&dir).iter().all(|n| !n.ends_with(".tmp")),
+            "temp file deleted"
+        );
+        assert!(recovered.mid_run(), "image predates the unpublished finish");
+        recovered.advance_until(&trace, trace.duration_ns());
+        assert_eq!(recovered.finish_run(), r_ref);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn latent_corrupt_record_is_caught_at_recovery_never_loaded() {
-        // A corrupt-record injection flips a payload bit *after* checksum
-        // framing: the append succeeds (corruption is latent), and only
-        // the recovery scan's CRC check may catch it — the record must be
-        // truncated away, never decoded into engine state.
+        // A corrupt-record injection flips a bit of a published image
+        // *after* checksumming: the publication succeeds (corruption is
+        // latent), and only recovery's CRC check may catch it — the image
+        // must be skipped, never decoded into engine state.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(7000, 0)], 20_480 * MS, 1);
         let mut reference = clean_engine(1);
         let r_ref = reference.run(&trace);
@@ -1957,31 +1906,24 @@ mod tests {
         let dir = scratch_dir("engine-corrupt-rec");
         {
             let mut e = clean_engine(1);
+            // Publications: the anchor, then quanta 2, 4, 6 — the fourth,
+            // the newest at the crash, is corrupt.
             e.set_fault_plan(Some(plan_with(
                 Site::StoreCorruptRecord,
                 SiteSpec {
                     rate: 1.0,
-                    schedule: Schedule::OneShot { at: 6 },
+                    schedule: Schedule::OneShot { at: 3 },
                 },
             )));
             let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            // A huge cadence keeps every journaled record (including the
-            // corrupt one) in the anchor snapshot's tail.
-            e.attach_store(store, 10_000).unwrap();
+            e.attach_store(store, 2).unwrap();
             e.begin_run(&trace);
-            e.advance_until(&trace, trace.duration_ns());
+            e.advance_until(&trace, 7000 * MS);
             assert!(e.store_error().is_none(), "corruption is latent");
         }
         let (mut e, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert!(
-            rec.truncated_bytes > 0,
-            "scan stopped at the corrupt record"
-        );
-        // The corrupt injection fired at append index 6; the anchor
-        // snapshot pruned append 0 (RunBegin), so five clean records (the
-        // Progress markers of quanta 1-5) precede the corrupt one in the
-        // surviving tail.
-        assert_eq!(rec.replayed_records, 5, "only the clean prefix replays");
+        assert_eq!(rec.snapshots_skipped, 1, "the corrupt image was skipped");
+        assert_eq!(rec.snapshot.as_ref().map(|s| s.seq), Some(2), "quantum 4's");
         e.advance_until(&trace, trace.duration_ns());
         let r = e.finish_run();
         assert_eq!(r, r_ref);
@@ -2022,12 +1964,13 @@ mod tests {
     }
 
     #[test]
-    fn recovery_ignores_a_stale_duplicate_segment_below_the_bound() {
-        // A crash between snapshot publication and segment pruning can
-        // leave a stale segment below the snapshot's WAL bound on disk;
-        // recovery must drop it, not replay it.
+    fn recovery_deletes_a_torn_temp_snapshot_and_still_resumes() {
+        // A crash mid-publication, before the rename, leaves a half-written
+        // temp file; recovery must delete it, load the newest published
+        // snapshot, and the resumed run must match the reference.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(3);
-        let dir = scratch_dir("engine-stale-seg");
+        let r_ref = MemconEngine::new(cfg(), trace.n_pages()).run(&trace);
+        let dir = scratch_dir("engine-torn-tmp");
         {
             let mut e = MemconEngine::new(cfg(), trace.n_pages());
             let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
@@ -2035,23 +1978,17 @@ mod tests {
             e.begin_run(&trace);
             e.advance_until(&trace, trace.duration_ns() / 2);
         }
-        // Forge a stale pre-bound segment: segment 0 predates every
-        // snapshot (the anchor snapshot set the bound to at least 1).
-        let stale = dir.join("wal-00000000.wal");
-        assert!(!stale.exists(), "rotation already pruned segment 0");
-        std::fs::write(
-            &stale,
-            store::wal::frame(&Record::EpochSample { epoch: 99 }.encode()),
-        )
-        .unwrap();
+        let newest = store_files(&dir).pop().unwrap();
+        let image = std::fs::read(dir.join(&newest)).unwrap();
+        let tmp = dir.join("snap-99999999.snap.tmp");
+        std::fs::write(&tmp, &image[..image.len() / 2]).unwrap();
 
-        let (e, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert!(rec.stale_segments > 0, "the forged segment was discarded");
-        assert!(
-            !rec.tail.contains(&Record::EpochSample { epoch: 99 }),
-            "stale records never replay"
-        );
+        let (mut e, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
+        assert!(!tmp.exists(), "the torn temp file was deleted");
+        assert_eq!(rec.snapshots_skipped, 0);
         assert!(e.mid_run());
+        e.advance_until(&trace, trace.duration_ns());
+        assert_eq!(e.finish_run(), r_ref);
         std::fs::remove_dir_all(&dir).ok();
     }
 

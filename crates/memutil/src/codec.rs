@@ -1,4 +1,4 @@
-//! Minimal little-endian binary codec shared by snapshot and WAL encoders.
+//! Minimal little-endian binary codec shared by the snapshot encoders.
 //!
 //! The durability layer persists engine state as flat streams of fixed-width
 //! integers (floats travel as IEEE-754 bit patterns). Keeping the codec here,

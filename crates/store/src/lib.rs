@@ -1,71 +1,60 @@
-//! Durable state store for MEMCON: append-only WAL + atomic snapshots.
+//! Durable state store for MEMCON: a directory of checksummed snapshots.
 //!
 //! The paper's thesis is that retention knowledge is expensive to acquire
 //! and therefore worth keeping; this crate makes it survive a process
-//! death. The shape follows proven WAL practice:
+//! death. Durability is snapshots plus deterministic re-execution:
 //!
-//! * **WAL** — typed run, progress and recovery markers ([`Record`]),
-//!   each framed `[len][crc32][payload]` ([`wal`]), appended to numbered
-//!   segment files (`wal-<seq>.wal`).
 //! * **Snapshots** — opaque engine-state blobs published atomically
 //!   (write-temp → rename, with an fsync of the temp file and the
-//!   directory under `Strict`; [`snapshot`]) as `snap-<seq>.snap`.
-//!   Each snapshot names a `wal_bound`: the first segment whose records
-//!   postdate it. Publication rotates the WAL to that bound and prunes
-//!   dead segments, so WAL growth is bounded by snapshot cadence.
-//! * **Recovery** — [`Store::open`] loads the newest snapshot that
-//!   passes its checksum (corrupt ones are reported and deleted, never
-//!   loaded), scans the WAL tail above the bound, detects torn or
-//!   corrupt tails, truncates the file back to the last valid record,
-//!   and reports exactly what it kept and what it discarded.
+//!   directory under `Strict`; [`snapshot`]) as `snap-<seq>.snap`. Each
+//!   publication deletes `snap-<seq − 2>`, so the newest
+//!   `KEEP_SNAPSHOTS` (two) files survive: the current state plus one
+//!   fallback.
+//! * **Recovery** — [`Store::open`] deletes leftover `.tmp` files (a
+//!   publication that never reached its rename) and loads the newest
+//!   snapshot whose checksum verifies. A corrupt or truncated one is
+//!   reported and deleted, never loaded, and the one before it is used.
 //!
-//! Snapshots are the state; the WAL is an integrity-checked progress
-//! tail. Nothing is applied from it: the engine rebuilds everything past
-//! a snapshot by re-running the same trace deterministically.
+//! Nothing but the snapshot is read back: the engine rebuilds everything
+//! past it by re-running the same trace deterministically.
 //!
 //! Three [`DurabilityMode`]s trade safety for speed: `InMemory` (no file
 //! IO at all — benches and tests), `Buffered` (files, no fsync — crash
-//! consistency relies on the OS), `Strict` (fsync per append and through
-//! every snapshot publication step).
+//! consistency relies on the OS), `Strict` (fsync through every snapshot
+//! publication step).
 //!
 //! Fault injection: the store consults the `store.torn_write`,
-//! `store.corrupt_record` (append path) and `store.short_read` (recovery
-//! scan) sites of an attached [`FaultSession`], so the chaos machinery
-//! can exercise every recovery branch deterministically.
+//! `store.corrupt_record` (publication) and `store.short_read`
+//! (recovery's snapshot reads) sites of an attached [`FaultSession`], so
+//! the chaos machinery can exercise every recovery branch
+//! deterministically.
 //!
-//! Telemetry: `store.wal.appends`, `store.wal.bytes`,
-//! `store.snap.published`, `store.recovery.replayed_records`, and
-//! `store.recovery.truncated_bytes` — all [`telemetry::Class::Deterministic`]
-//! (counts of deterministic events), though they describe the durability
-//! plane itself: a crashed-and-recovered run legitimately differs from an
-//! uninterrupted one in `store.*` (it did extra durability work), which is
-//! why the crash gate compares deterministic sections *minus* `store.*`.
+//! Telemetry: `store.snap.published` and
+//! `store.recovery.snapshots_skipped` — both
+//! [`telemetry::Class::Deterministic`] (counts of deterministic events),
+//! though they describe the durability plane itself: a
+//! crashed-and-recovered run legitimately differs from an uninterrupted
+//! one in `store.*` (it did extra durability work), which is why the
+//! crash gate compares deterministic sections *minus* `store.*`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod record;
 pub mod snapshot;
-pub mod wal;
 
-pub use record::Record;
-pub use snapshot::Snapshot;
-pub use wal::{crc32, scan_bytes, ScanResult};
+pub use snapshot::{crc32, Snapshot};
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::fs::{self, File};
+use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use faultinject::{FaultPlan, FaultSession, Site};
 
-const WAL_APPENDS: &str = "store.wal.appends";
-const WAL_BYTES: &str = "store.wal.bytes";
 const SNAPS_PUBLISHED: &str = "store.snap.published";
-const RECOVERY_REPLAYED: &str = "store.recovery.replayed_records";
-const RECOVERY_TRUNCATED: &str = "store.recovery.truncated_bytes";
+const SNAPS_SKIPPED: &str = "store.recovery.snapshots_skipped";
 
 /// How many of the newest snapshots survive pruning: the current one plus
 /// one fallback in case the newest is found corrupt at recovery.
@@ -76,14 +65,14 @@ const KEEP_SNAPSHOTS: u64 = 2;
 pub enum DurabilityMode {
     /// All state kept in process memory; no files are touched. Recovery
     /// across processes is impossible — the mode for benches and tests
-    /// that want the append path without IO.
+    /// that want the publication path without IO.
     InMemory,
     /// Real files, no fsync: survives process death (the OS flushes),
     /// not power loss. The default.
     #[default]
     Buffered,
-    /// fsync per append and through every snapshot publication step
-    /// (temp file, rename, containing directory).
+    /// fsync through every snapshot publication step (temp file, then
+    /// the containing directory after the rename).
     Strict,
 }
 
@@ -110,9 +99,10 @@ impl DurabilityMode {
     }
 }
 
-/// Errors surfaced by the store. Corruption is *not* an error at the WAL
-/// tail (that is truncated and reported via [`Recovered`]); it is an
-/// error when it would mean loading bad state.
+/// Errors surfaced by the store. A corrupt snapshot is *not* an error
+/// while an older valid one remains (recovery falls back and reports it
+/// via [`Recovered`]); it is an error when it would mean loading bad
+/// state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// File IO failed (path and OS error inside).
@@ -123,9 +113,10 @@ pub enum StoreError {
     /// The requested state cannot be persisted or recovered (e.g. an
     /// engine whose oracle does not support snapshotting).
     Unsupported(String),
-    /// An injected torn write: only a prefix of the frame reached the
-    /// file. The store is in the same state a kill mid-append leaves on
-    /// disk; the caller treats this as the crash it simulates.
+    /// An injected torn write: only a prefix of the snapshot image reached
+    /// the temp file and the rename never happened. The store is in the
+    /// state a kill mid-publication leaves on disk; the caller treats this
+    /// as the crash it simulates.
     TornWrite,
 }
 
@@ -151,16 +142,6 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> StoreError {
 pub struct Recovered {
     /// Newest snapshot that passed verification, if any.
     pub snapshot: Option<Snapshot>,
-    /// Intact WAL records above the snapshot bound, in append order.
-    pub tail: Vec<Record>,
-    /// `tail.len()` as a counter (mirrors the telemetry metric).
-    pub replayed_records: u64,
-    /// Bytes discarded from torn/corrupt tails (and any segments beyond
-    /// the first torn one).
-    pub truncated_bytes: u64,
-    /// Segments below the snapshot bound left behind by an interrupted
-    /// rotation/prune; ignored and deleted.
-    pub stale_segments: u64,
     /// Corrupt snapshot files skipped (and deleted) before a valid one
     /// was found.
     pub snapshots_skipped: u64,
@@ -171,23 +152,19 @@ pub struct Recovered {
 pub struct Store {
     dir: PathBuf,
     mode: DurabilityMode,
-    seg_seq: u64,
-    seg_file: Option<File>,
     snap_seq: u64,
-    mem_segments: BTreeMap<u64, Vec<u8>>,
-    mem_snaps: BTreeMap<u64, Vec<u8>>,
+    mem_snap: Option<Vec<u8>>,
     faults: Option<FaultSession>,
 }
 
 impl Store {
     /// Creates a fresh store in `dir` (created if absent). Refuses to
-    /// build over an existing store's files — recovery must be explicit,
-    /// via [`Store::open`].
+    /// build over an existing store's snapshots — recovery must be
+    /// explicit, via [`Store::open`].
     pub fn create(dir: &Path, mode: DurabilityMode) -> Result<Store, StoreError> {
         if mode != DurabilityMode::InMemory {
             fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, &e))?;
-            let (segs, snaps, _) = list_store_files(dir)?;
-            if !segs.is_empty() || !snaps.is_empty() {
+            if !list_store_files(dir)?.0.is_empty() {
                 return Err(StoreError::Corrupt(format!(
                     "{} already holds store files; open it instead of creating over it",
                     dir.display()
@@ -197,21 +174,19 @@ impl Store {
         Ok(Store {
             dir: dir.to_path_buf(),
             mode,
-            seg_seq: 0,
-            seg_file: None,
             snap_seq: 0,
-            mem_segments: BTreeMap::new(),
-            mem_snaps: BTreeMap::new(),
+            mem_snap: None,
             faults: None,
         })
     }
 
-    /// Opens an existing store, running recovery: load the newest valid
-    /// snapshot, scan the WAL tail, truncate torn/corrupt tails in place,
-    /// delete stale pre-bound segments and corrupt snapshots.
+    /// Opens an existing store, running recovery: delete leftover temp
+    /// files, load the newest snapshot that verifies, delete the corrupt
+    /// ones above it and any older than its one fallback.
     ///
-    /// `plan` arms the `store.short_read` site during the scan (and stays
-    /// attached for subsequent appends); pass `None` for a clean open.
+    /// `plan` arms the `store.short_read` site for the snapshot reads (and
+    /// stays attached for subsequent publications); pass `None` for a
+    /// clean open.
     ///
     /// In `InMemory` mode there is nothing on disk to recover: the result
     /// is a fresh store and an empty [`Recovered`].
@@ -227,7 +202,7 @@ impl Store {
             return Ok((store, Recovered::default()));
         }
         fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, &e))?;
-        let (segs, snaps, tmps) = list_store_files(dir)?;
+        let (snaps, tmps) = list_store_files(dir)?;
         for tmp in tmps {
             // Interrupted snapshot publications: never renamed, never valid.
             fs::remove_file(&tmp).map_err(|e| io_err("remove tmp", &tmp, &e))?;
@@ -236,12 +211,18 @@ impl Store {
 
         // Newest snapshot that verifies wins; corrupt ones are reported
         // and deleted so they can never shadow a good one again.
-        let mut best: Option<Snapshot> = None;
         for (&seq, path) in snaps.iter().rev() {
-            let bytes = fs::read(path).map_err(|e| io_err("read snapshot", path, &e))?;
+            let mut bytes = fs::read(path).map_err(|e| io_err("read snapshot", path, &e))?;
+            if faults
+                .as_mut()
+                .is_some_and(|s| s.fires(Site::StoreShortRead))
+            {
+                // Injected short read: the file comes back half-length.
+                bytes.truncate(bytes.len() / 2);
+            }
             match snapshot::decode(&bytes) {
                 Ok(snap) if snap.seq == seq => {
-                    best = Some(snap);
+                    out.snapshot = Some(snap);
                     break;
                 }
                 Ok(_) | Err(_) => {
@@ -250,85 +231,24 @@ impl Store {
                 }
             }
         }
-        let bound = best.as_ref().map_or(0, |s| s.wal_bound);
-
-        // Stale segments below the bound: leftovers of an interrupted
-        // prune. Their records are all covered by the snapshot.
-        for (&seq, path) in &segs {
-            if seq < bound {
-                out.stale_segments += 1;
-                fs::remove_file(path).map_err(|e| io_err("remove stale segment", path, &e))?;
+        // Older than the newest's fallback: left by a crash between a
+        // rename and its prune.
+        if let Some(newest) = &out.snapshot {
+            let keep_from = (newest.seq + 1).saturating_sub(KEEP_SNAPSHOTS);
+            for path in snaps.range(..keep_from).map(|(_, p)| p) {
+                fs::remove_file(path).map_err(|e| io_err("prune snapshot", path, &e))?;
             }
         }
-
-        // Scan live segments in order; stop at the first torn tail and
-        // repair the files so a re-open sees a clean log.
-        let mut torn_at: Option<u64> = None;
-        for (&seq, path) in &segs {
-            if seq < bound {
-                continue;
-            }
-            if let Some(first_torn) = torn_at {
-                // Everything after a torn segment is unreachable history.
-                let len = fs::metadata(path)
-                    .map_err(|e| io_err("stat segment", path, &e))?
-                    .len();
-                out.truncated_bytes += len;
-                fs::remove_file(path).map_err(|e| io_err("remove segment", path, &e))?;
-                debug_assert!(seq > first_torn);
-                continue;
-            }
-            let bytes = fs::read(path).map_err(|e| io_err("read segment", path, &e))?;
-            let mut scan = wal::scan_bytes(&bytes);
-            // Injected short read: the scan "sees" EOF early — keep only
-            // the records before the firing index and re-derive the valid
-            // byte length of that shorter prefix.
-            if let Some(session) = faults.as_mut() {
-                for i in 0..scan.records.len() {
-                    if session.fires(Site::StoreShortRead) {
-                        scan.valid_len = scan.records[..i]
-                            .iter()
-                            .map(|r| (wal::FRAME_HEADER + r.encode().len()) as u64)
-                            .sum();
-                        scan.records.truncate(i);
-                        scan.torn = true;
-                        break;
-                    }
-                }
-            }
-            if scan.torn {
-                out.truncated_bytes += bytes.len() as u64 - scan.valid_len;
-                let f = OpenOptions::new()
-                    .write(true)
-                    .open(path)
-                    .map_err(|e| io_err("open segment for repair", path, &e))?;
-                f.set_len(scan.valid_len)
-                    .map_err(|e| io_err("truncate segment", path, &e))?;
-                torn_at = Some(seq);
-            }
-            out.tail.append(&mut scan.records);
-        }
-        out.replayed_records = out.tail.len() as u64;
         if telemetry::enabled() {
-            telemetry::count(RECOVERY_REPLAYED, out.replayed_records);
-            telemetry::count(RECOVERY_TRUNCATED, out.truncated_bytes);
+            telemetry::count(SNAPS_SKIPPED, out.snapshots_skipped);
         }
-
-        // Position past everything seen: appends go to a fresh segment,
-        // so scanned history is never re-scanned as live tail twice once
-        // the next snapshot prunes it.
-        let seg_seq = segs.keys().next_back().map_or(bound, |&s| s + 1).max(bound);
-        let snap_seq = best.as_ref().map_or(0, |s| s.seq + 1);
-        out.snapshot = best;
+        let snap_seq = out.snapshot.as_ref().map_or(0, |s| s.seq + 1);
         Ok((
             Store {
                 dir: dir.to_path_buf(),
                 mode,
-                seg_seq,
-                seg_file: None,
                 snap_seq,
-                mem_segments: BTreeMap::new(),
-                mem_snaps: BTreeMap::new(),
+                mem_snap: None,
                 faults,
             },
             out,
@@ -347,99 +267,41 @@ impl Store {
         self.mode
     }
 
-    /// Current WAL segment index.
-    #[must_use]
-    pub fn wal_seq(&self) -> u64 {
-        self.seg_seq
-    }
-
-    /// Sequence number the next snapshot will carry.
-    #[must_use]
-    pub fn snap_seq(&self) -> u64 {
-        self.snap_seq
-    }
-
-    /// Attaches (or clears) the fault session consulted by the append
-    /// path (`store.torn_write`, `store.corrupt_record`) and recovery
-    /// scans run through this handle.
+    /// Attaches (or clears) the fault session consulted by snapshot
+    /// publication (`store.torn_write`, `store.corrupt_record`).
     pub fn set_fault_session(&mut self, session: Option<FaultSession>) {
         self.faults = session;
     }
 
-    /// Appends one record to the current WAL segment.
+    /// Publishes `payload` as the next snapshot — atomically (write-temp,
+    /// rename; under `Strict` also fsync of the temp file and directory) —
+    /// then deletes the snapshot `KEEP_SNAPSHOTS` publications older.
     ///
     /// # Errors
     ///
     /// IO failures, or [`StoreError::TornWrite`] when the armed
-    /// `store.torn_write` site fires (the on-disk state then ends
-    /// mid-frame, exactly like a crash during the write).
-    pub fn append(&mut self, rec: &Record) -> Result<(), StoreError> {
-        let mut frame = wal::frame(&rec.encode());
+    /// `store.torn_write` site fires: half the image is written to the
+    /// temp file and the rename never happens, exactly like a crash
+    /// during the write.
+    pub fn publish_snapshot(&mut self, payload: &[u8]) -> Result<(), StoreError> {
+        let mut image = snapshot::encode(self.snap_seq, payload);
         let mut torn = false;
         if let Some(session) = self.faults.as_mut() {
             if session.fires(Site::StoreTornWrite) {
                 torn = true;
             } else if session.fires(Site::StoreCorruptRecord) {
-                // Latent corruption: flip a checksum bit. The append
-                // "succeeds"; recovery must catch it, truncate, report.
-                frame[4] ^= 0x01;
+                // Latent corruption: the publication "succeeds"; recovery
+                // must catch it by checksum and fall back.
+                let mid = image.len() / 2;
+                image[mid] ^= 0x01;
             }
         }
-        let write_len = if torn {
-            (frame.len() / 2).max(1)
-        } else {
-            frame.len()
-        };
         match self.mode {
             DurabilityMode::InMemory => {
-                self.mem_segments
-                    .entry(self.seg_seq)
-                    .or_default()
-                    .extend_from_slice(&frame[..write_len]);
-            }
-            DurabilityMode::Buffered | DurabilityMode::Strict => {
-                let strict = self.mode == DurabilityMode::Strict;
-                let path = segment_path(&self.dir, self.seg_seq);
-                if self.seg_file.is_none() {
-                    let f = OpenOptions::new()
-                        .create(true)
-                        .append(true)
-                        .open(&path)
-                        .map_err(|e| io_err("open segment", &path, &e))?;
-                    self.seg_file = Some(f);
+                if torn {
+                    return Err(StoreError::TornWrite);
                 }
-                if let Some(f) = self.seg_file.as_mut() {
-                    f.write_all(&frame[..write_len])
-                        .map_err(|e| io_err("append", &path, &e))?;
-                    if strict {
-                        f.sync_data().map_err(|e| io_err("fsync", &path, &e))?;
-                    }
-                }
-            }
-        }
-        if torn {
-            return Err(StoreError::TornWrite);
-        }
-        if telemetry::enabled() {
-            telemetry::count(WAL_APPENDS, 1);
-            telemetry::count(WAL_BYTES, frame.len() as u64);
-        }
-        Ok(())
-    }
-
-    /// Publishes `payload` as the next snapshot — atomically (write-temp,
-    /// rename; under `Strict` also fsync of the temp file and directory) —
-    /// then rotates the WAL past it and prunes segments the new snapshot
-    /// covers plus all but the newest two snapshots.
-    pub fn publish_snapshot(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        let new_bound = self.seg_seq + 1;
-        let image = snapshot::encode(self.snap_seq, new_bound, payload);
-        match self.mode {
-            DurabilityMode::InMemory => {
-                self.mem_snaps.insert(self.snap_seq, image);
-                let keep = self.snap_seq.saturating_sub(KEEP_SNAPSHOTS - 1);
-                self.mem_snaps.retain(|&s, _| s >= keep);
-                self.mem_segments.retain(|&s, _| s >= new_bound);
+                self.mem_snap = Some(image);
             }
             DurabilityMode::Buffered | DurabilityMode::Strict => {
                 let strict = self.mode == DurabilityMode::Strict;
@@ -447,8 +309,12 @@ impl Store {
                 let fin = snapshot_path(&self.dir, self.snap_seq);
                 {
                     let mut f = File::create(&tmp).map_err(|e| io_err("create tmp", &tmp, &e))?;
-                    f.write_all(&image)
+                    let len = if torn { image.len() / 2 } else { image.len() };
+                    f.write_all(&image[..len])
                         .map_err(|e| io_err("write snapshot", &tmp, &e))?;
+                    if torn {
+                        return Err(StoreError::TornWrite);
+                    }
                     if strict {
                         f.sync_all()
                             .map_err(|e| io_err("fsync snapshot", &tmp, &e))?;
@@ -460,38 +326,22 @@ impl Store {
                     d.sync_all()
                         .map_err(|e| io_err("fsync dir", &self.dir, &e))?;
                 }
-                // Prune: segments the snapshot covers, snapshots beyond
-                // the keep window. A crash between rename and here only
-                // leaves stragglers that recovery ignores and deletes.
-                let (segs, snaps, _) = list_store_files(&self.dir)?;
-                for (&seq, path) in &segs {
-                    if seq < new_bound {
-                        fs::remove_file(path).map_err(|e| io_err("prune segment", path, &e))?;
-                    }
-                }
-                let keep = self.snap_seq.saturating_sub(KEEP_SNAPSHOTS - 1);
-                for (&seq, path) in &snaps {
-                    if seq < keep {
-                        fs::remove_file(path).map_err(|e| io_err("prune snapshot", path, &e))?;
+                // A crash before this prune leaves one straggler, which
+                // the next open deletes.
+                if let Some(old) = self.snap_seq.checked_sub(KEEP_SNAPSHOTS) {
+                    let path = snapshot_path(&self.dir, old);
+                    match fs::remove_file(&path) {
+                        Err(e) if e.kind() != ErrorKind::NotFound => {
+                            return Err(io_err("prune snapshot", &path, &e));
+                        }
+                        _ => {}
                     }
                 }
             }
         }
         self.snap_seq += 1;
-        self.seg_file = None;
-        self.seg_seq = new_bound;
         if telemetry::enabled() {
             telemetry::count(SNAPS_PUBLISHED, 1);
-        }
-        Ok(())
-    }
-
-    /// Flushes OS buffers for the current segment (meaningful in
-    /// `Buffered` mode before an orderly shutdown).
-    pub fn sync(&mut self) -> Result<(), StoreError> {
-        if let Some(f) = self.seg_file.as_mut() {
-            let path = segment_path(&self.dir, self.seg_seq);
-            f.sync_data().map_err(|e| io_err("fsync", &path, &e))?;
         }
         Ok(())
     }
@@ -500,31 +350,17 @@ impl Store {
     /// as [`snapshot::decode`] reads it.
     #[must_use]
     pub fn mem_snapshot(&self) -> Option<&[u8]> {
-        self.mem_snaps.values().next_back().map(Vec::as_slice)
+        self.mem_snap.as_deref()
     }
-
-    /// In-memory segment images (only populated in `InMemory` mode) —
-    /// lets tests and benches run the scan without touching disk.
-    #[must_use]
-    pub fn mem_segment(&self, seq: u64) -> Option<&[u8]> {
-        self.mem_segments.get(&seq).map(Vec::as_slice)
-    }
-}
-
-fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("wal-{seq:08}.wal"))
 }
 
 fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("snap-{seq:08}.snap"))
 }
 
-type StoreFiles = (BTreeMap<u64, PathBuf>, BTreeMap<u64, PathBuf>, Vec<PathBuf>);
-
-/// Classifies `dir` entries into (wal segments, snapshots, leftover temp
-/// files), keyed and ordered by sequence number.
-fn list_store_files(dir: &Path) -> Result<StoreFiles, StoreError> {
-    let mut segs = BTreeMap::new();
+/// Classifies `dir` entries into snapshots (keyed and ordered by sequence
+/// number) and leftover temp files.
+fn list_store_files(dir: &Path) -> Result<(BTreeMap<u64, PathBuf>, Vec<PathBuf>), StoreError> {
     let mut snaps = BTreeMap::new();
     let mut tmps = Vec::new();
     let entries = fs::read_dir(dir).map_err(|e| io_err("read dir", dir, &e))?;
@@ -536,21 +372,15 @@ fn list_store_files(dir: &Path) -> Result<StoreFiles, StoreError> {
         };
         if name.ends_with(".tmp") {
             tmps.push(path);
-        } else if let Some(seq) = parse_seq(name, "wal-", ".wal") {
-            segs.insert(seq, path);
-        } else if let Some(seq) = parse_seq(name, "snap-", ".snap") {
+        } else if let Some(seq) = name
+            .strip_prefix("snap-")
+            .and_then(|n| n.strip_suffix(".snap"))
+            .and_then(|n| n.parse().ok())
+        {
             snaps.insert(seq, path);
         }
     }
-    tmps.sort();
-    Ok((segs, snaps, tmps))
-}
-
-fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(suffix)?
-        .parse()
-        .ok()
+    Ok((snaps, tmps))
 }
 
 /// A per-process-unique scratch directory for store tests and harnesses:
@@ -572,40 +402,46 @@ mod tests {
     use super::*;
     use faultinject::{Schedule, SiteSpec};
 
-    fn progress(n: u64) -> Vec<Record> {
-        (0..n)
-            .map(|i| Record::Progress {
-                quantum: i,
-                now_ns: i * 1000,
-            })
-            .collect()
-    }
-
     fn cleanup(dir: &Path) {
         let _ = fs::remove_dir_all(dir);
     }
 
-    #[test]
-    fn buffered_store_round_trips_snapshot_and_tail() {
-        let dir = scratch_dir("round-trip");
-        {
-            let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            for r in progress(5) {
-                s.append(&r).unwrap();
-            }
-            s.publish_snapshot(b"state-at-5").unwrap();
-            for r in progress(3) {
-                s.append(&r).unwrap();
-            }
+    /// A plan firing `site` exactly once, at its `at`-th decision.
+    fn one_shot(site: Site, at: u64) -> Arc<FaultPlan> {
+        Arc::new(FaultPlan::new(0xF00D).with_site(
+            site,
+            SiteSpec {
+                rate: 1.0,
+                schedule: Schedule::OneShot { at },
+            },
+        ))
+    }
+
+    /// Publishes `state-0` .. `state-<n-1>` into a fresh buffered store.
+    fn publish_states(dir: &Path, n: u64) -> Store {
+        let mut s = Store::create(dir, DurabilityMode::Buffered).unwrap();
+        for i in 0..n {
+            s.publish_snapshot(format!("state-{i}").as_bytes()).unwrap();
         }
-        let (s, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
-        let snap = rec.snapshot.expect("snapshot survives");
-        assert_eq!(snap.payload, b"state-at-5");
-        assert_eq!(rec.tail, progress(3));
-        assert_eq!(rec.replayed_records, 3);
-        assert_eq!(rec.truncated_bytes, 0);
-        assert_eq!(rec.stale_segments, 0);
-        assert!(s.wal_seq() > snap.wal_bound - 1);
+        s
+    }
+
+    fn newest_payload(rec: &Recovered) -> &[u8] {
+        &rec.snapshot.as_ref().expect("a snapshot recovers").payload
+    }
+
+    #[test]
+    fn buffered_store_round_trips_the_newest_snapshot() {
+        let dir = scratch_dir("round-trip");
+        drop(publish_states(&dir, 3));
+        let (mut s, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
+        assert_eq!(newest_payload(&rec), b"state-2");
+        assert_eq!(rec.snapshot.as_ref().unwrap().seq, 2);
+        assert_eq!(rec.snapshots_skipped, 0);
+        // Publication resumes the sequence past the recovered snapshot.
+        s.publish_snapshot(b"state-3").unwrap();
+        let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
+        assert_eq!(rec.snapshot.unwrap().seq, 3);
         cleanup(&dir);
     }
 
@@ -614,109 +450,53 @@ mod tests {
         let dir = scratch_dir("strict");
         {
             let mut s = Store::create(&dir, DurabilityMode::Strict).unwrap();
-            for r in progress(4) {
-                s.append(&r).unwrap();
-            }
+            s.publish_snapshot(b"strict-old").unwrap();
             s.publish_snapshot(b"strict-state").unwrap();
-            s.append(&Record::Progress {
-                quantum: 9,
-                now_ns: 9,
-            })
-            .unwrap();
         }
         let (_, rec) = Store::open(&dir, DurabilityMode::Strict, None).unwrap();
-        assert_eq!(rec.snapshot.unwrap().payload, b"strict-state");
-        assert_eq!(
-            rec.tail,
-            vec![Record::Progress {
-                quantum: 9,
-                now_ns: 9
-            }]
-        );
+        assert_eq!(newest_payload(&rec), b"strict-state");
         cleanup(&dir);
     }
 
     #[test]
-    fn empty_wal_recovers_to_nothing() {
-        let dir = scratch_dir("empty-wal");
+    fn empty_store_recovers_to_nothing() {
+        let dir = scratch_dir("empty-store");
         drop(Store::create(&dir, DurabilityMode::Buffered).unwrap());
         let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
         assert!(rec.snapshot.is_none());
-        assert!(rec.tail.is_empty());
-        assert_eq!(rec.truncated_bytes, 0);
+        assert_eq!(rec.snapshots_skipped, 0);
         cleanup(&dir);
     }
 
     #[test]
-    fn snapshot_only_store_recovers_without_tail() {
-        let dir = scratch_dir("snap-only");
-        {
-            let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            for r in progress(2) {
-                s.append(&r).unwrap();
-            }
-            s.publish_snapshot(b"just-me").unwrap();
-        }
+    fn leftover_tmp_is_deleted_on_open_and_never_loaded() {
+        let dir = scratch_dir("leftover-tmp");
+        drop(publish_states(&dir, 2));
+        // A complete, valid image that never reached its rename.
+        let tmp = dir.join("snap-00000002.snap.tmp");
+        fs::write(&tmp, snapshot::encode(2, b"never-renamed")).unwrap();
         let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert_eq!(rec.snapshot.unwrap().payload, b"just-me");
-        assert!(rec.tail.is_empty(), "pre-snapshot records were pruned");
+        assert_eq!(newest_payload(&rec), b"state-1");
+        assert_eq!(rec.snapshots_skipped, 0);
+        assert!(!tmp.exists(), "leftover temp file deleted");
         cleanup(&dir);
     }
 
     #[test]
-    fn torn_tail_is_truncated_and_reported_then_reopens_clean() {
-        let dir = scratch_dir("torn-tail");
-        {
-            let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            for r in progress(6) {
-                s.append(&r).unwrap();
-            }
-        }
-        // Tear the tail mid-record by hand.
-        let seg = segment_path(&dir, 0);
-        let bytes = fs::read(&seg).unwrap();
-        let frame_len = wal::frame(&progress(1)[0].encode()).len();
-        let cut = 5 * frame_len + 3;
-        fs::write(&seg, &bytes[..cut]).unwrap();
-
+    fn truncated_newest_snapshot_falls_back_to_the_previous_one() {
+        let dir = scratch_dir("truncated-snap");
+        drop(publish_states(&dir, 3));
+        // The rename reached the disk, the data did not.
+        let newest = snapshot_path(&dir, 2);
+        let img = fs::read(&newest).unwrap();
+        fs::write(&newest, &img[..img.len() / 2]).unwrap();
         let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert_eq!(rec.tail, progress(5), "last record lost, rest intact");
-        assert_eq!(rec.truncated_bytes, 3);
-        assert_eq!(fs::metadata(&seg).unwrap().len() as usize, 5 * frame_len);
-
+        assert_eq!(newest_payload(&rec), b"state-1");
+        assert_eq!(rec.snapshots_skipped, 1);
+        assert!(!newest.exists(), "truncated snapshot deleted");
         let (_, again) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert_eq!(again.truncated_bytes, 0, "repair is persistent");
-        assert_eq!(again.tail, progress(5));
-        cleanup(&dir);
-    }
-
-    #[test]
-    fn stale_pre_bound_segment_from_failed_rotation_is_ignored() {
-        let dir = scratch_dir("stale-seg");
-        {
-            let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            for r in progress(3) {
-                s.append(&r).unwrap();
-            }
-            s.publish_snapshot(b"bound-1").unwrap();
-            s.append(&Record::EpochSample { epoch: 1 }).unwrap();
-        }
-        // Re-create the pre-bound segment an interrupted prune would
-        // leave behind (same seq as the pruned one: a duplicate).
-        let mut stale = Vec::new();
-        for r in progress(3) {
-            stale.extend_from_slice(&wal::frame(&r.encode()));
-        }
-        fs::write(segment_path(&dir, 0), &stale).unwrap();
-
-        let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert_eq!(rec.stale_segments, 1);
-        assert_eq!(
-            rec.tail,
-            vec![Record::EpochSample { epoch: 1 }],
-            "stale duplicate records never replay"
-        );
-        assert!(!segment_path(&dir, 0).exists(), "stale segment deleted");
+        assert_eq!(again.snapshots_skipped, 0, "repair is persistent");
+        assert_eq!(newest_payload(&again), b"state-1");
         cleanup(&dir);
     }
 
@@ -725,9 +505,7 @@ mod tests {
         let dir = scratch_dir("corrupt-snap");
         {
             let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            s.append(&progress(1)[0]).unwrap();
             s.publish_snapshot(b"good-old").unwrap();
-            s.append(&Record::EpochSample { epoch: 7 }).unwrap();
             s.publish_snapshot(b"bad-new").unwrap();
         }
         // Corrupt the newest snapshot's payload.
@@ -739,19 +517,33 @@ mod tests {
 
         let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
         assert_eq!(rec.snapshots_skipped, 1);
-        let snap = rec.snapshot.expect("fallback snapshot");
-        assert_eq!(snap.payload, b"good-old", "corrupt image never loads");
+        assert_eq!(
+            newest_payload(&rec),
+            b"good-old",
+            "corrupt image never loads"
+        );
         assert!(!newest.exists(), "corrupt snapshot deleted");
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn straggler_older_than_the_fallback_is_pruned_on_open() {
+        let dir = scratch_dir("straggler");
+        drop(publish_states(&dir, 3));
+        // A crash between a rename and its prune leaves a third file.
+        let straggler = snapshot_path(&dir, 0);
+        fs::write(&straggler, snapshot::encode(0, b"state-0")).unwrap();
+        let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
+        assert_eq!(newest_payload(&rec), b"state-2");
+        assert!(!straggler.exists(), "straggler deleted");
+        assert!(snapshot_path(&dir, 1).exists(), "the fallback survives");
         cleanup(&dir);
     }
 
     #[test]
     fn create_refuses_to_overwrite_an_existing_store() {
         let dir = scratch_dir("no-clobber");
-        {
-            let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            s.append(&progress(1)[0]).unwrap();
-        }
+        drop(publish_states(&dir, 1));
         assert!(matches!(
             Store::create(&dir, DurabilityMode::Buffered),
             Err(StoreError::Corrupt(_))
@@ -763,106 +555,64 @@ mod tests {
     fn in_memory_mode_touches_no_files() {
         let dir = scratch_dir("in-memory");
         let mut s = Store::create(&dir, DurabilityMode::InMemory).unwrap();
-        for r in progress(10) {
-            s.append(&r).unwrap();
+        for i in 0..3u64 {
+            s.publish_snapshot(format!("ram-{i}").as_bytes()).unwrap();
         }
-        s.publish_snapshot(b"ram-only").unwrap();
-        s.append(&Record::Progress {
-            quantum: 1,
-            now_ns: 1,
-        })
-        .unwrap();
         assert!(!dir.exists(), "no directory was created");
-        assert!(s.mem_segment(0).is_none(), "rotation pruned segment 0");
-        let tail = s.mem_segment(1).expect("post-snapshot segment");
-        let scan = wal::scan_bytes(tail);
-        assert_eq!(
-            scan.records,
-            vec![Record::Progress {
-                quantum: 1,
-                now_ns: 1
-            }]
-        );
+        let snap = snapshot::decode(s.mem_snapshot().expect("newest image")).unwrap();
+        assert_eq!((snap.seq, snap.payload.as_slice()), (2, &b"ram-2"[..]));
     }
 
     #[test]
-    fn injected_torn_write_leaves_a_truncatable_tail() {
+    fn injected_torn_publish_leaves_the_previous_snapshots_intact() {
         let dir = scratch_dir("fault-torn");
-        let plan = Arc::new(FaultPlan::new(0xF00D).with_site(
+        let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
+        s.set_fault_session(Some(FaultSession::with_plan(one_shot(
             Site::StoreTornWrite,
-            SiteSpec {
-                rate: 1.0,
-                schedule: Schedule::OneShot { at: 3 },
-            },
-        ));
-        {
-            let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            s.set_fault_session(Some(FaultSession::with_plan(plan)));
-            let mut torn = 0;
-            for r in progress(5) {
-                match s.append(&r) {
-                    Ok(()) => {}
-                    Err(StoreError::TornWrite) => {
-                        torn += 1;
-                        break; // a real crash stops here
-                    }
-                    Err(e) => panic!("unexpected {e}"),
-                }
-            }
-            assert_eq!(torn, 1);
-        }
+            2,
+        ))));
+        s.publish_snapshot(b"state-0").unwrap();
+        s.publish_snapshot(b"state-1").unwrap();
+        assert_eq!(s.publish_snapshot(b"state-2"), Err(StoreError::TornWrite));
+        drop(s); // a real crash stops here
+        let (snaps, tmps) = list_store_files(&dir).unwrap();
+        assert_eq!(snaps.keys().copied().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(tmps.len(), 1, "the half-written temp file, never renamed");
         let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert_eq!(rec.tail, progress(3), "prefix before the tear survives");
-        assert!(rec.truncated_bytes > 0, "partial frame was truncated away");
+        assert_eq!(newest_payload(&rec), b"state-1");
+        assert_eq!(rec.snapshots_skipped, 0);
+        assert!(list_store_files(&dir).unwrap().1.is_empty(), "temp deleted");
         cleanup(&dir);
     }
 
     #[test]
     fn injected_corrupt_record_is_caught_at_recovery_never_loaded() {
         let dir = scratch_dir("fault-corrupt");
-        let plan = Arc::new(FaultPlan::new(0xF00D).with_site(
-            Site::StoreCorruptRecord,
-            SiteSpec {
-                rate: 1.0,
-                schedule: Schedule::OneShot { at: 2 },
-            },
-        ));
         {
             let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            s.set_fault_session(Some(FaultSession::with_plan(plan)));
-            for r in progress(5) {
-                s.append(&r).unwrap(); // corruption is latent: appends succeed
+            s.set_fault_session(Some(FaultSession::with_plan(one_shot(
+                Site::StoreCorruptRecord,
+                2,
+            ))));
+            for i in 0..3u64 {
+                // Corruption is latent: every publication succeeds.
+                s.publish_snapshot(format!("state-{i}").as_bytes()).unwrap();
             }
         }
         let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert_eq!(rec.tail, progress(2), "scan stops at the corrupt record");
-        assert!(rec.truncated_bytes > 0);
+        assert_eq!(rec.snapshots_skipped, 1);
+        assert_eq!(newest_payload(&rec), b"state-1");
         cleanup(&dir);
     }
 
     #[test]
-    fn injected_short_read_truncates_the_scan_early() {
+    fn injected_short_read_of_the_newest_snapshot_falls_back() {
         let dir = scratch_dir("fault-short");
-        {
-            let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            for r in progress(6) {
-                s.append(&r).unwrap();
-            }
-        }
-        let plan = Arc::new(FaultPlan::new(0xF00D).with_site(
-            Site::StoreShortRead,
-            SiteSpec {
-                rate: 1.0,
-                schedule: Schedule::OneShot { at: 4 },
-            },
-        ));
+        drop(publish_states(&dir, 3));
+        let plan = one_shot(Site::StoreShortRead, 0);
         let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, Some(plan)).unwrap();
-        assert_eq!(rec.tail, progress(4), "EOF injected before record 4");
-        assert!(rec.truncated_bytes > 0);
-        // The repair truncated the file: a clean re-open agrees.
-        let (_, again) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert_eq!(again.tail, progress(4));
-        assert_eq!(again.truncated_bytes, 0);
+        assert_eq!(rec.snapshots_skipped, 1);
+        assert_eq!(newest_payload(&rec), b"state-1");
         cleanup(&dir);
     }
 
@@ -879,21 +629,15 @@ mod tests {
     }
 
     #[test]
-    fn rotation_bounds_wal_growth_across_many_snapshots() {
-        let dir = scratch_dir("rotation");
-        let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-        for round in 0..10u64 {
-            for r in progress(20) {
-                s.append(&r).unwrap();
-            }
-            s.publish_snapshot(format!("round-{round}").as_bytes())
-                .unwrap();
-        }
-        let (segs, snaps, _) = list_store_files(&dir).unwrap();
-        assert!(segs.is_empty(), "every segment was covered and pruned");
+    fn only_the_newest_snapshots_survive_many_publishes() {
+        let dir = scratch_dir("prune");
+        drop(publish_states(&dir, 10));
+        let (snaps, tmps) = list_store_files(&dir).unwrap();
         assert_eq!(snaps.len() as u64, KEEP_SNAPSHOTS);
+        assert_eq!(snaps.keys().copied().collect::<Vec<_>>(), [8, 9]);
+        assert!(tmps.is_empty());
         let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
-        assert_eq!(rec.snapshot.unwrap().payload, b"round-9");
+        assert_eq!(newest_payload(&rec), b"state-9");
         cleanup(&dir);
     }
 }

@@ -16,8 +16,7 @@
 //! The default rule set ([`default_rules`]) watches the failure modes the
 //! MEMCON paper's mitigation machinery can actually exhibit: escape burn,
 //! HI-REF pinning pressure, recovery-backoff ceiling hits, tRRD/tFAW
-//! stall ratio, PRIL buffer occupancy, and runaway WAL growth in the
-//! durable state store.
+//! stall ratio and PRIL buffer occupancy.
 
 use memutil::json::Json;
 
@@ -191,15 +190,6 @@ pub fn default_rules() -> Vec<Rule> {
             &["fleet.gauge.pril_buffered"],
             "fleet.gauge.pril_capacity",
             0.9,
-        ),
-        // A healthy store journals a bounded trickle per epoch; a WAL
-        // growing >16 MiB in one epoch means snapshot rotation stopped
-        // pruning segments (or a record-emission loop is runaway).
-        Rule::delta_above(
-            "wal-growth",
-            Severity::Warning,
-            "store.wal.bytes",
-            16 * 1024 * 1024,
         ),
     ]
 }
@@ -448,7 +438,6 @@ mod tests {
             "backoff-ceiling",
             "stall-pressure",
             "pril-occupancy",
-            "wal-growth",
         ] {
             assert!(names.iter().any(|n| n == expected), "missing {expected}");
         }

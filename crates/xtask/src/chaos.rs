@@ -142,7 +142,7 @@ fn chaos_plan(seed: u64) -> Arc<FaultPlan> {
             .with_site(Site::EccUncorrectable, SiteSpec::rate(0.05))
             // The store sites stay cold in this soak (no store attached)
             // but are armed so every registered site is covered; the
-            // `xtask crash` gate drives them against live WALs.
+            // `xtask crash` gate drives them against live snapshot stores.
             .with_site(Site::StoreTornWrite, SiteSpec::rate(0.02))
             .with_site(Site::StoreShortRead, SiteSpec::rate(0.05))
             .with_site(Site::StoreCorruptRecord, SiteSpec::rate(0.02)),

@@ -1,24 +1,32 @@
 //! `xtask crash` — the crash-recovery soak gate for the durable store.
 //!
 //! Each crash point drives the reference workload through a store-backed
-//! [`MemconEngine`], kills it mid-run at a seeded fraction of the trace,
-//! then truncates the newest WAL segment at a seeded random offset —
-//! modelling a power cut that lands anywhere inside a write. Recovery must
-//! come back up from the newest snapshot, truncate the torn tail to the
-//! last intact record (reporting every discarded byte), and resume; the
-//! finished run must be byte-identical to an uninterrupted storeless
-//! reference run of the same trace (report, recovery counters, and final
-//! refresh bins).
+//! [`MemconEngine`] that publishes a snapshot every [`CADENCE`] quanta,
+//! kills it mid-run at a seeded fraction of the trace, and tears the
+//! newest snapshot publication at a seeded byte offset, in one of two
+//! seeded ways:
+//!
+//! * **truncated snapshot** — `snap-<seq>.snap` is cut short: the rename
+//!   reached the disk but the data did not, as can happen under
+//!   `Buffered`. Recovery must skip it and fall back to the one before;
+//! * **torn temp file** — the crash came before the rename: the newest
+//!   publication is only a `.tmp` prefix. Recovery must delete it.
+//!
+//! Recovery then resumes by re-executing the trace from the older
+//! snapshot; the finished run must be byte-identical to an uninterrupted
+//! storeless reference run of the same trace (report, recovery counters,
+//! and final refresh bins).
 //!
 //! Two adversarial legs ride along:
 //!
-//! * **corrupt-checksum** — one byte in the middle of the surviving WAL is
-//!   flipped (latent media corruption rather than a torn write); recovery
-//!   must stop replay at the corrupt record and report the truncation —
-//!   never silently load state past it;
+//! * **corrupt-checksum** — one byte in the middle of the newest snapshot
+//!   is flipped (latent media corruption rather than a torn write);
+//!   recovery must skip exactly that snapshot, load the previous one, and
+//!   still match the reference — never silently load the corrupt image;
 //! * **injected torn write** — the `store.torn_write` fault site fires
-//!   during the run, poisoning the store mid-flight; the simulation must
-//!   finish unaffected and the half-written tail must recover cleanly.
+//!   inside a publication, leaving half a temp image and a poisoned
+//!   store; the simulation must finish unaffected, and recovery must
+//!   delete the temp file and resume to the same result.
 //!
 //! `--quick` soaks 4 crash points (the CI configuration); the default is
 //! 16.
@@ -42,6 +50,10 @@ const FULL_POINTS: usize = 16;
 
 /// Crash points under `--quick` (the CI leg).
 const QUICK_POINTS: usize = 4;
+
+/// Snapshot cadence in quanta: every crash point lands after several
+/// publications.
+const CADENCE: u64 = 2;
 
 /// Entry point for `xtask crash <args>`; returns a process exit code.
 #[must_use]
@@ -104,97 +116,97 @@ fn soak(points: usize) -> Result<String, String> {
     let trace = reference_trace();
     let reference = reference_run(&trace);
 
-    let mut torn_tails = 0usize;
-    let mut total_truncated = 0u64;
-    let mut total_replayed = 0u64;
+    let mut fallbacks = 0usize;
     for i in 0..points {
         let seed = CRASH_SEED_BASE + i as u64;
-        let (truncated, replayed) = crash_point(&trace, &reference, seed)
+        let skipped = crash_point(&trace, &reference, seed)
             .map_err(|e| format!("crash point {}/{points} (seed {seed:#x}): {e}", i + 1))?;
-        torn_tails += usize::from(truncated > 0);
-        total_truncated += truncated;
-        total_replayed += replayed;
+        fallbacks += usize::from(skipped > 0);
     }
-    if torn_tails == 0 {
+    if fallbacks == 0 {
         return Err(format!(
-            "none of the {points} random WAL offsets landed mid-record (soak proved nothing)"
+            "none of the {points} crash points fell back to an older snapshot (soak proved nothing)"
         ));
     }
-    let corrupt_truncated = corrupt_checksum_leg(&trace, &reference)?;
+    corrupt_checksum_leg(&trace, &reference)?;
     injected_torn_write_leg(&trace, &reference)?;
     Ok(format!(
-        "{points} crash point(s) recovered to the reference run ({torn_tails} torn tails, \
-         {total_truncated} bytes truncated, {total_replayed} records replayed); \
-         corrupt-checksum leg truncated {corrupt_truncated} bytes; \
-         injected torn write recovered clean"
+        "{points} crash point(s) recovered to the reference run ({fallbacks} fell back past a \
+         truncated snapshot, {} deleted a torn temp file); corrupt-checksum leg skipped \
+         1 snapshot; injected torn write recovered clean",
+        points - fallbacks
     ))
 }
 
-/// One kill-at-random-WAL-offset point: crash at a seeded fraction of the
-/// trace, truncate the newest WAL segment at a seeded offset, recover,
-/// resume, and compare against the reference. Returns
-/// `(truncated_bytes, replayed_records)`.
-fn crash_point(
-    trace: &WriteTrace,
-    reference: &RunOutcome,
-    seed: u64,
-) -> Result<(u64, u64), String> {
+/// One torn-publication point: crash at a seeded fraction of the trace,
+/// tear the newest snapshot at a seeded offset (truncated in place, or
+/// turned back into the temp file of an unfinished publication), recover,
+/// resume, and compare against the reference. Returns the snapshots
+/// recovery skipped.
+fn crash_point(trace: &WriteTrace, reference: &RunOutcome, seed: u64) -> Result<u64, String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let dir = store::scratch_dir(&format!("xtask-crash-{seed:x}"));
-    // Crash somewhere in the middle 10%..90% of the trace; cadence far
-    // past the run so the whole partial run sits in one WAL tail segment
-    // and a random offset always has records to land in.
+    // Crash somewhere in the middle 10%..90% of the trace.
     let crash_ns = trace.duration_ns() / 10 * (1 + rng.gen_range(0..9u64));
-    run_to_crash(trace, &dir, crash_ns, None)?;
-    let tail = newest_wal_segment(&dir)
-        .ok_or_else(|| "crashed run left no WAL tail segment".to_string())?;
-    let len = file_len(&tail)?;
-    // Truncate anywhere in the segment — a frame boundary (clean tail) is
-    // a legitimate outcome; the soak-level check requires only that *some*
-    // point tears mid-record.
-    let offset = rng.gen_range(0..len);
-    set_len(&tail, offset)?;
-    let (truncated, replayed) = recover_and_compare(trace, &dir, reference)?;
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok((truncated, replayed))
-}
-
-/// The corrupt-checksum leg: flip one byte in the middle of the WAL tail
-/// (not truncation — the file keeps its length) and require recovery to
-/// stop replay at the corrupt record and report everything after it as
-/// truncated. Returns the truncated byte count.
-fn corrupt_checksum_leg(trace: &WriteTrace, reference: &RunOutcome) -> Result<u64, String> {
-    let dir = store::scratch_dir("xtask-crash-corrupt");
-    run_to_crash(trace, &dir, trace.duration_ns() / 2, None)?;
-    let tail = newest_wal_segment(&dir)
-        .ok_or_else(|| "crashed run left no WAL tail segment".to_string())?;
-    let mut bytes = std::fs::read(&tail).map_err(|e| format!("read {}: {e}", tail.display()))?;
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    std::fs::write(&tail, &bytes).map_err(|e| format!("write {}: {e}", tail.display()))?;
-    let (truncated, _) = recover_and_compare(trace, &dir, reference)?;
-    if truncated == 0 {
-        return Err(
-            "a flipped byte mid-WAL was not reported as a truncation (corrupt state \
-             would have been loaded silently)"
-                .to_string(),
-        );
+    run_to_crash(trace, &dir, crash_ns)?;
+    let newest = newest_snapshot(&dir)?;
+    let image = std::fs::read(&newest).map_err(|e| format!("read {}: {e}", newest.display()))?;
+    let offset = rng.gen_range(0..image.len());
+    let truncate = rng.gen_range(0..2u32) == 0;
+    let torn = if truncate {
+        newest.clone()
+    } else {
+        std::fs::remove_file(&newest).map_err(|e| format!("remove {}: {e}", newest.display()))?;
+        newest.with_extension("snap.tmp")
+    };
+    std::fs::write(&torn, &image[..offset])
+        .map_err(|e| format!("write {}: {e}", torn.display()))?;
+    let skipped = recover_and_compare(trace, &dir, reference)?;
+    if skipped != u64::from(truncate) || (!truncate && torn.exists()) {
+        return Err(format!(
+            "recovery skipped {skipped} snapshot(s) tearing {}",
+            torn.display()
+        ));
     }
     let _ = std::fs::remove_dir_all(&dir);
-    Ok(truncated)
+    Ok(skipped)
 }
 
-/// The injected-fault leg: the `store.torn_write` site fires once
-/// mid-run, leaving a half-written frame and a poisoned store. The
-/// simulation must still finish byte-identically, and the torn tail must
-/// recover (detecting the tear) and resume to the same result.
+/// The corrupt-checksum leg: flip one byte in the middle of the newest
+/// snapshot (not truncation — the file keeps its length) and require
+/// recovery to skip exactly that snapshot and resume from the previous
+/// one.
+fn corrupt_checksum_leg(trace: &WriteTrace, reference: &RunOutcome) -> Result<(), String> {
+    let dir = store::scratch_dir("xtask-crash-corrupt");
+    run_to_crash(trace, &dir, trace.duration_ns() / 2)?;
+    let newest = newest_snapshot(&dir)?;
+    let mut bytes =
+        std::fs::read(&newest).map_err(|e| format!("read {}: {e}", newest.display()))?;
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&newest, &bytes).map_err(|e| format!("write {}: {e}", newest.display()))?;
+    let skipped = recover_and_compare(trace, &dir, reference)?;
+    if skipped != 1 {
+        return Err(format!(
+            "a flipped byte mid-snapshot made recovery skip {skipped} snapshots, not exactly 1 \
+             (corrupt state loaded silently, or a good snapshot discarded)"
+        ));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}
+
+/// The injected-fault leg: the `store.torn_write` site fires inside one
+/// mid-run publication, leaving half a temp image and a poisoned store.
+/// The simulation must still finish byte-identically, and recovery must
+/// delete the temp file and resume to the same result.
 fn injected_torn_write_leg(trace: &WriteTrace, reference: &RunOutcome) -> Result<(), String> {
     let dir = store::scratch_dir("xtask-crash-injected");
     let plan = Arc::new(FaultPlan::new(CRASH_SEED_BASE).with_site(
         Site::StoreTornWrite,
         SiteSpec {
             rate: 1.0,
-            schedule: Schedule::OneShot { at: 24 },
+            schedule: Schedule::OneShot { at: 12 },
         },
     ));
     let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.n_pages());
@@ -202,7 +214,7 @@ fn injected_torn_write_leg(trace: &WriteTrace, reference: &RunOutcome) -> Result
     let s = store::Store::create(&dir, DurabilityMode::Buffered)
         .map_err(|e| format!("create store: {e}"))?;
     engine
-        .attach_store(s, 10_000)
+        .attach_store(s, CADENCE)
         .map_err(|e| format!("attach store: {e}"))?;
     let report = engine.run(trace);
     if engine.store_error().is_none() {
@@ -221,47 +233,55 @@ fn injected_torn_write_leg(trace: &WriteTrace, reference: &RunOutcome) -> Result
         );
     }
     drop(engine);
-    let (_, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None)
+    let tmp_files = || {
+        std::fs::read_dir(&dir).map_or(0, |entries| {
+            entries
+                .filter_map(Result::ok)
+                .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+                .count()
+        })
+    };
+    if tmp_files() != 1 {
+        return Err("the torn publication left no temp file behind".to_string());
+    }
+    recover_and_compare(trace, &dir, reference)
         .map_err(|e| format!("recovery after injected torn write: {e}"))?;
-    if rec.truncated_bytes == 0 {
-        return Err("the half-written frame was not detected at recovery".to_string());
+    if tmp_files() != 0 {
+        return Err("recovery left the torn temp file behind".to_string());
     }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }
 
-/// Runs a store-backed engine up to `crash_ns` and drops it mid-run
-/// (snapshot cadence pinned past the run end, so the anchor snapshot is
-/// the only one and the WAL tail holds the whole partial run).
-fn run_to_crash(
-    trace: &WriteTrace,
-    dir: &Path,
-    crash_ns: u64,
-    plan: Option<Arc<FaultPlan>>,
-) -> Result<(), String> {
+/// Runs a store-backed engine up to `crash_ns` and drops it mid-run,
+/// requiring that at least two snapshots beyond the anchor were published
+/// (so tearing the newest leaves an older one to fall back to).
+fn run_to_crash(trace: &WriteTrace, dir: &Path, crash_ns: u64) -> Result<(), String> {
     let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.n_pages());
-    engine.set_fault_plan(plan);
     let s = store::Store::create(dir, DurabilityMode::Buffered)
         .map_err(|e| format!("create store: {e}"))?;
     engine
-        .attach_store(s, 10_000)
+        .attach_store(s, CADENCE)
         .map_err(|e| format!("attach store: {e}"))?;
     engine.begin_run(trace);
     engine.advance_until(trace, crash_ns);
     if !engine.mid_run() {
         return Err("crash point landed past the end of the run".to_string());
     }
+    if newest_snapshot(dir)? < dir.join("snap-00000002.snap") {
+        return Err("crash point landed before a third snapshot was published".to_string());
+    }
     Ok(())
 }
 
 /// Recovers the engine in `dir`, resumes it with `trace`, and compares
-/// the finished run against `reference`. Returns
-/// `(truncated_bytes, replayed_records)` from the recovery scan.
+/// the finished run against `reference`. Returns the number of corrupt
+/// snapshots recovery skipped.
 fn recover_and_compare(
     trace: &WriteTrace,
     dir: &Path,
     reference: &RunOutcome,
-) -> Result<(u64, u64), String> {
+) -> Result<u64, String> {
     let (mut engine, rec) = MemconEngine::recover(dir, DurabilityMode::Buffered, None)
         .map_err(|e| format!("recovery: {e}"))?;
     if !engine.mid_run() {
@@ -281,31 +301,19 @@ fn recover_and_compare(
                 .to_string(),
         );
     }
-    Ok((rec.truncated_bytes, rec.replayed_records))
+    Ok(rec.snapshots_skipped)
 }
 
-/// The highest-sequence `.wal` segment in `dir`, if any.
-fn newest_wal_segment(dir: &Path) -> Option<PathBuf> {
-    let mut segments: Vec<_> = std::fs::read_dir(dir)
-        .ok()?
+/// The highest-sequence `snap-*.snap` file in `dir`.
+pub(crate) fn newest_snapshot(dir: &Path) -> Result<PathBuf, String> {
+    let mut snapshots: Vec<_> = std::fs::read_dir(dir)
+        .map_err(|e| format!("read {}: {e}", dir.display()))?
         .filter_map(Result::ok)
         .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "wal"))
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
         .collect();
-    segments.sort();
-    segments.pop()
-}
-
-fn file_len(path: &Path) -> Result<u64, String> {
-    std::fs::metadata(path)
-        .map(|m| m.len())
-        .map_err(|e| format!("stat {}: {e}", path.display()))
-}
-
-fn set_len(path: &Path, len: u64) -> Result<(), String> {
-    std::fs::OpenOptions::new()
-        .write(true)
-        .open(path)
-        .and_then(|f| f.set_len(len))
-        .map_err(|e| format!("truncate {}: {e}", path.display()))
+    snapshots.sort();
+    snapshots
+        .pop()
+        .ok_or_else(|| "crashed run left no snapshot".to_string())
 }

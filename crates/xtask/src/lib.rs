@@ -160,7 +160,7 @@ pub fn ci_cmd(bench: bool) -> i32 {
         return health_code;
     }
 
-    println!("ci: crash --quick (kill-at-random-WAL-offset recovery soak)");
+    println!("ci: crash --quick (torn-snapshot-publication recovery soak)");
     let crash_code = crash::crash_cmd(&["--quick".to_string()]);
     if crash_code != 0 {
         return crash_code;

@@ -80,7 +80,7 @@ fn usage() {
          \x20                           kernel)\n\
          \x20 crash [--quick] [--points=N]\n\
          \x20                           crash-recovery soak gate: N seeded\n\
-         \x20                           kill-at-random-WAL-offset points\n\
+         \x20                           torn-snapshot-publication points\n\
          \x20                           (recover, resume, byte-compare against\n\
          \x20                           an uninterrupted reference run) plus a\n\
          \x20                           corrupt-checksum leg and an injected\n\

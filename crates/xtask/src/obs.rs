@@ -26,7 +26,7 @@
 //! system run (controller command mix and stall counters), a small
 //! fleet run (`fleet.rollup.*` aggregate counters and histograms plus the
 //! per-epoch `fleet.obs.*`/`fleet.gauge.*` time-series points), and a
-//! durable-store crash/recover round trip (`store.*` WAL, snapshot, and
+//! durable-store crash/recover round trip (`store.*` snapshot and
 //! recovery counters).
 
 use std::path::Path;
@@ -135,11 +135,11 @@ fn run_reference_workload() {
     let _ = fleet::engine::run_fleet(&fleet_config, 2);
 
     // Layer 5: durable-store round trip (store.* counters): a store-backed
-    // engine crashes mid-run, its WAL tail is torn mid-record (the classic
-    // partial-write crash), and recovery truncates the tear, scans the
-    // intact tail, and resumes to completion. Every store.* counter —
-    // appends, bytes, snapshots, scanned records, truncated bytes — fires
-    // with a value that derives from the fixed workload alone.
+    // engine crashes mid-run, its newest snapshot is torn (the rename
+    // reached the disk, the data did not), and recovery skips it, loads
+    // the one before, and resumes to completion. Both store.* counters —
+    // snapshots published and snapshots skipped — fire with values that
+    // derive from the fixed workload alone.
     let dir = store::scratch_dir("obs-reference");
     let store_trace = memtrace::workload::WorkloadProfile::netflix()
         .scaled(0.01)
@@ -152,50 +152,36 @@ fn run_reference_workload() {
         let s = store::Store::create(&dir, store::DurabilityMode::Buffered)
             // memlint: allow(no-unwrap): a broken scratch dir must fail the tool loudly
             .expect("scratch store directory must be creatable");
-        // Cadence far past the run: the anchor snapshot is the only one,
-        // so the whole partial run accumulates in one WAL tail segment.
         engine
-            .attach_store(s, 10_000)
+            .attach_store(s, 8)
             // memlint: allow(no-unwrap): fresh engine + rate oracle always accepts a store
             .expect("fresh engine accepts a store");
         engine.begin_run(&store_trace);
         engine.advance_until(&store_trace, store_trace.duration_ns() * 2 / 5);
         // Crash: drop the engine mid-run without finish_run.
     }
-    // memlint: allow(no-unwrap): the anchor-only cadence above guarantees a tail
-    let tail = newest_wal_segment(&dir).expect("crashed run leaves a WAL tail");
-    let len = std::fs::metadata(&tail)
+    // memlint: allow(no-unwrap): the anchor snapshot always exists
+    let newest = crate::crash::newest_snapshot(&dir).expect("crashed run leaves a snapshot");
+    let len = std::fs::metadata(&newest)
         // memlint: allow(no-unwrap): scratch-dir IO failures must fail the tool loudly
-        .expect("tail segment is readable")
+        .expect("newest snapshot is readable")
         .len();
     let f = std::fs::OpenOptions::new()
         .write(true)
-        .open(&tail)
+        .open(&newest)
         // memlint: allow(no-unwrap): scratch-dir IO failures must fail the tool loudly
-        .expect("tail segment is writable");
+        .expect("newest snapshot is writable");
     // memlint: allow(no-unwrap): scratch-dir IO failures must fail the tool loudly
-    f.set_len(len - 3).expect("tear the tail mid-record");
+    f.set_len(len - 3).expect("tear the newest snapshot");
     drop(f);
     let (mut engine, _) =
         memcon::engine::MemconEngine::recover(&dir, store::DurabilityMode::Buffered, None)
-            // memlint: allow(no-unwrap): a torn tail failing to recover is exactly what the golden must catch
-            .expect("torn tail recovers");
+            // memlint: allow(no-unwrap): a torn snapshot failing to recover is exactly what the golden must catch
+            .expect("torn snapshot recovers");
     engine.advance_until(&store_trace, store_trace.duration_ns());
     let _ = engine.finish_run();
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The highest-sequence `.wal` segment in `dir`, if any.
-fn newest_wal_segment(dir: &Path) -> Option<std::path::PathBuf> {
-    let mut segments: Vec<_> = std::fs::read_dir(dir)
-        .ok()?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "wal"))
-        .collect();
-    segments.sort();
-    segments.pop()
 }
 
 fn print_cmd() -> i32 {
